@@ -1,5 +1,6 @@
 #include "crypto/hash.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/chacha.h"
@@ -47,7 +48,7 @@ void Hasher::update(std::span<const std::uint8_t> data) {
   // Top up a partially filled staging buffer first.
   if (buf_len_ > 0) {
     const std::size_t take = std::min(data.size(), 32 - buf_len_);
-    std::memcpy(buf_ + buf_len_, data.data(), take);
+    std::copy_n(data.begin(), take, buf_ + buf_len_);
     buf_len_ += take;
     off += take;
     if (buf_len_ == 32) {
@@ -121,7 +122,8 @@ Digest hmac(std::span<const std::uint8_t> key,
     Digest kd = hash(key);
     std::memcpy(k, kd.data(), 32);
   } else {
-    std::memcpy(k, key.data(), key.size());
+    // std::copy, not memcpy: an empty key may come with a null data().
+    std::copy(key.begin(), key.end(), k);
   }
   std::uint8_t ipad[32], opad[32];
   for (int i = 0; i < 32; ++i) {

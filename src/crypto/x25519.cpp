@@ -51,26 +51,13 @@ Fe fe_carry(const Fe& a) {
   return r;
 }
 
-Fe fe_mul(const Fe& a, const Fe& b) {
-  using u128 = unsigned __int128;
-  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
-                      a4 = a.v[4];
-  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3],
-                      b4 = b.v[4];
-  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19,
-                      b4_19 = b4 * 19;
-
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
-            (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
-            (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
-            (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-
+// Carry the five u128 column sums of a product down to 51-bit limbs, with
+// the overflow past 2^255 folded back in as *19. Shared by fe_mul and
+// fe_sq. Output limbs are < 2^51 except limb 1, which may exceed it by a
+// small carry.
+inline Fe fe_reduce(unsigned __int128 t0, unsigned __int128 t1,
+                    unsigned __int128 t2, unsigned __int128 t3,
+                    unsigned __int128 t4) {
   Fe r;
   std::uint64_t c;
   r.v[0] = (std::uint64_t)t0 & kMask51; c = (std::uint64_t)(t0 >> 51);
@@ -87,7 +74,46 @@ Fe fe_mul(const Fe& a, const Fe& b) {
   return r;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+// Inputs need no carry pass: limbs up to 2^54 (any fe_add/fe_sub of
+// reduced elements) keep every column sum below 2^115 and the final
+// carry*19 below 2^64.
+inline Fe fe_mul(const Fe& a, const Fe& b) {
+  using u128 = unsigned __int128;
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
+                      a4 = a.v[4];
+  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3],
+                      b4 = b.v[4];
+  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19,
+                      b4_19 = b4 * 19;
+  return fe_reduce(
+      (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 +
+          (u128)a4 * b1_19,
+      (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 +
+          (u128)a4 * b2_19,
+      (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 +
+          (u128)a4 * b3_19,
+      (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
+          (u128)a4 * b4_19,
+      (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
+          (u128)a4 * b0);
+}
+
+// a^2 with the symmetric cross terms merged: 15 multiplies instead of 25.
+// The column sums are the same integers fe_mul(a, a) forms, so the result
+// is identical limb for limb.
+inline Fe fe_sq(const Fe& a) {
+  using u128 = unsigned __int128;
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
+                      a4 = a.v[4];
+  const std::uint64_t a0_2 = a0 * 2, a1_2 = a1 * 2;
+  const std::uint64_t a3_19 = a3 * 19, a4_19 = a4 * 19;
+  const std::uint64_t a3_38 = a3 * 38, a4_38 = a4 * 38;
+  return fe_reduce((u128)a0 * a0 + (u128)a1 * a4_38 + (u128)a2 * a3_38,
+                   (u128)a0_2 * a1 + (u128)a2 * a4_38 + (u128)a3 * a3_19,
+                   (u128)a0_2 * a2 + (u128)a1 * a1 + (u128)a3 * a4_38,
+                   (u128)a0_2 * a3 + (u128)a1_2 * a2 + (u128)a4 * a4_19,
+                   (u128)a0_2 * a4 + (u128)a1_2 * a3 + (u128)a2 * a2);
+}
 
 Fe fe_mul_small(const Fe& a, std::uint64_t k) {
   using u128 = unsigned __int128;
@@ -160,21 +186,18 @@ Fe fe_from_bytes(const std::uint8_t in[32]) {
 }
 
 void fe_to_bytes(std::uint8_t out[32], const Fe& a) {
-  // Fully reduce mod p.
+  // Fully reduce mod p, whatever the limb representation: after the carry
+  // pass the value v is < 2^255 + 19, and v >= p exactly when v + 19
+  // carries out of bit 255. Then v - p = v + 19 - 2^255.
   Fe r = fe_carry(a);
-  // r < 2^255 + small; subtract p if needed (constant-time not required).
-  auto geq_p = [](const Fe& x) {
-    return x.v[0] >= 0x7ffffffffffedULL && x.v[1] == kMask51 &&
-           x.v[2] == kMask51 && x.v[3] == kMask51 && x.v[4] == kMask51;
-  };
-  // Add 19 then mask to fold values in [p, 2^255) down; simpler: loop.
-  for (int iter = 0; iter < 2 && geq_p(r); ++iter) {
-    r.v[0] -= 0x7ffffffffffedULL;
-    r.v[1] = 0;
-    r.v[2] = 0;
-    r.v[3] = 0;
-    r.v[4] = 0;
+  std::uint64_t q = (r.v[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (r.v[i] + q) >> 51;
+  r.v[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    r.v[i + 1] += r.v[i] >> 51;
+    r.v[i] &= kMask51;
   }
+  r.v[4] &= kMask51;
   std::uint64_t packed[4];
   packed[0] = r.v[0] | (r.v[1] << 51);
   packed[1] = (r.v[1] >> 13) | (r.v[2] << 38);
@@ -219,20 +242,23 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
     cswap(swap, z2, z3);
     swap = k_t;
 
-    const Fe a = fe_carry(fe_add(x2, z2));
+    // Every fe_add/fe_sub operand is a fe_mul/fe_sq/fe_mul_small output
+    // (or a ladder start value), so sums stay below 2^54 and feed the
+    // multiplies uncarried.
+    const Fe a = fe_add(x2, z2);
     const Fe aa = fe_sq(a);
-    const Fe b = fe_carry(fe_sub(x2, z2));
+    const Fe b = fe_sub(x2, z2);
     const Fe bb = fe_sq(b);
-    const Fe e_ = fe_carry(fe_sub(aa, bb));
-    const Fe c = fe_carry(fe_add(x3, z3));
-    const Fe d = fe_carry(fe_sub(x3, z3));
+    const Fe e_ = fe_sub(aa, bb);
+    const Fe c = fe_add(x3, z3);
+    const Fe d = fe_sub(x3, z3);
     const Fe da = fe_mul(d, a);
     const Fe cb = fe_mul(c, b);
-    x3 = fe_sq(fe_carry(fe_add(da, cb)));
-    z3 = fe_mul(x1, fe_sq(fe_carry(fe_sub(da, cb))));
+    x3 = fe_sq(fe_add(da, cb));
+    z3 = fe_mul(x1, fe_sq(fe_sub(da, cb)));
     x2 = fe_mul(aa, bb);
     const Fe a24e = fe_mul_small(e_, 121665);
-    z2 = fe_mul(e_, fe_carry(fe_add(aa, a24e)));
+    z2 = fe_mul(e_, fe_add(aa, a24e));
   }
   cswap(swap, x2, x3);
   cswap(swap, z2, z3);

@@ -1,8 +1,9 @@
 // X25519 Diffie–Hellman scalar multiplication over Curve25519, implemented
 // from scratch (5×51-bit limbs, Montgomery ladder), used by the ntor-style
-// circuit handshake. The properties the handshake depends on — ladder
-// determinism and DH commutativity — are property-tested in
-// tests/crypto_test.cpp over many random keypairs.
+// circuit handshake. Output matches RFC 7748: the §5.2 vectors (including
+// the 1- and 1,000-iteration ladders) and the §6.1 Alice/Bob exchange are
+// known-answer tests in tests/crypto_test.cpp, beside property tests of
+// ladder determinism and DH commutativity over many random keypairs.
 #pragma once
 
 #include <array>

@@ -29,10 +29,6 @@ class HopCrypto {
     backward_.apply(std::span<std::uint8_t>(payload.data(), payload.size()));
   }
 
-  /// The forward-direction cipher, for batching several hops' layers into
-  /// one cache-blocked pass (crypto::ChaChaCipher::apply_layers).
-  crypto::ChaChaCipher& forward_cipher() { return forward_; }
-
   cells::RollingDigest& forward_digest() { return forward_digest_; }
   cells::RollingDigest& backward_digest() { return backward_digest_; }
 

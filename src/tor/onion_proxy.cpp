@@ -1,7 +1,6 @@
 #include "tor/onion_proxy.h"
 
 #include <algorithm>
-#include <array>
 #include <set>
 #include <span>
 #include <sstream>
@@ -185,22 +184,10 @@ void OnionProxy::send_relay(const CircuitPtr& circ, std::size_t hop_index,
   Hop& target = circ->hops[hop_index];
   Bytes wire_payload =
       cells::encode_relay(payload, target.crypto->forward_digest());
-  // Onion layering: one keystream XOR per hop out to the target. The layers
-  // commute, so they are applied batched — all hops per cache-hot chunk —
-  // rather than sweeping the whole payload once per hop.
-  std::array<crypto::ChaChaCipher*, 8> layers;
-  if (hop_index + 1 <= layers.size()) {
-    for (std::size_t i = 0; i <= hop_index; ++i)
-      layers[i] = &circ->hops[i].crypto->forward_cipher();
-    crypto::ChaChaCipher::apply_layers(
-        std::span<crypto::ChaChaCipher* const>(layers.data(), hop_index + 1),
-        std::span<std::uint8_t>(wire_payload.data(), wire_payload.size()));
-  } else {
-    // Paths longer than the stack buffer (not built today): layer by layer,
-    // innermost first.
-    for (std::size_t i = hop_index + 1; i-- > 0;)
-      circ->hops[i].crypto->apply_forward(wire_payload);
-  }
+  // Onion layering: one keystream XOR per hop out to the target, innermost
+  // first.
+  for (std::size_t i = hop_index + 1; i-- > 0;)
+    circ->hops[i].crypto->apply_forward(wire_payload);
   if (circ->conn && circ->conn->is_open()) {
     Cell cell =
         Cell::make(circ->wire_id, CellCommand::kRelay, std::move(wire_payload));

@@ -12,12 +12,12 @@ Two subcommands, both stdlib-only:
 
   gate-regression BASELINE.json FRESH.json [--max-regression 0.15]
       Fail if the optimizations leg regressed: the fresh
-      optimizations.throughput_speedup must be at least
-      (1 - max_regression) x the baseline's. The speedup is a
-      within-run ratio (optimized vs cold pairs/vhour on the same host and
-      scale), so it is comparable across machines where raw pairs/vhour is
-      not; absolute pairs/vhour is additionally compared only when the two
-      runs measured the same leg (same pairs and samples_per_circuit).
+      optimizations.throughput_speedup and optimized_pairs_per_vhour must
+      each be at least (1 - max_regression) x the baseline's. The leg runs
+      in virtual time at a fixed size (not scaled by TING_BENCH_SCALE), so
+      both figures are exact and host-independent. Fails outright when
+      optimizations.pairs differs between the two files: runs of different
+      sizes are not comparable.
 
   gate-construct FRESH.json [--min-speedup 5.0]
       Gate over the world-construction leg: fail unless instantiating the
@@ -105,40 +105,23 @@ def gate_speedup(args):
 def gate_regression(args):
     base = load(args.baseline)
     fresh = load(args.fresh)
-    b = require(base, args.baseline, "optimizations", "throughput_speedup")
-    f = require(fresh, args.fresh, "optimizations", "throughput_speedup")
-    floor = b * (1.0 - args.max_regression)
-    print(f"optimizations leg: baseline throughput_speedup={b} "
-          f"fresh={f} floor={floor:.3f}")
+    bp = require(base, args.baseline, "optimizations", "pairs")
+    fp = require(fresh, args.fresh, "optimizations", "pairs")
+    if bp != fp:
+        print(f"FAIL: optimizations leg measured {fp} pairs, baseline {bp}; "
+              "the runs are not comparable")
+        return 1
     failed = False
-    if f < floor:
-        print(f"FAIL: throughput_speedup regressed more than "
-              f"{args.max_regression:.0%}")
-        failed = True
-
-    # Absolute pairs/vhour is host- and scale-sensitive; only comparable
-    # when both runs measured the same leg.
-    same_leg = all(
-        require(base, args.baseline, "optimizations", k)
-        == require(fresh, args.fresh, "optimizations", k)
-        for k in ("pairs",)
-    ) and require(base, args.baseline, "samples_per_circuit") == require(
-        fresh, args.fresh, "samples_per_circuit")
-    if same_leg:
-        pb = require(base, args.baseline, "optimizations",
-                     "optimized_pairs_per_vhour")
-        pf = require(fresh, args.fresh, "optimizations",
-                     "optimized_pairs_per_vhour")
-        pfloor = pb * (1.0 - args.max_regression)
-        print(f"optimized pairs/vhour: baseline={pb} fresh={pf} "
-              f"floor={pfloor:.2f}")
-        if pf < pfloor:
-            print(f"FAIL: optimized pairs/vhour regressed more than "
+    for key in ("throughput_speedup", "optimized_pairs_per_vhour"):
+        b = require(base, args.baseline, "optimizations", key)
+        f = require(fresh, args.fresh, "optimizations", key)
+        floor = b * (1.0 - args.max_regression)
+        print(f"optimizations leg ({bp} pairs): baseline {key}={b} "
+              f"fresh={f} floor={floor:.3f}")
+        if f < floor:
+            print(f"FAIL: {key} regressed more than "
                   f"{args.max_regression:.0%}")
             failed = True
-    else:
-        print("pairs/vhour comparison skipped: runs measured different legs")
-
     if not failed:
         print("PASS: no bench regression")
     return 1 if failed else 0
