@@ -2,7 +2,9 @@
 // protocol parameters with TEST_P / INSTANTIATE_TEST_SUITE_P.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "cells/cell.h"
@@ -204,6 +206,19 @@ struct PolicyCase {
   std::uint16_t port;
   bool expect_allowed;
 };
+
+// Names each case by its probe and its policy in torrc's comma-separated
+// form, e.g. "9.9.9.9:81 vs accept *:80,reject *:*". Without this, gtest
+// prints the struct's raw bytes, whose string pointers move with address
+// space layout randomisation, so the discovered test names changed from one
+// build to the next.
+void PrintTo(const PolicyCase& c, std::ostream* os) {
+  std::string policy = *c.policy != '\0' ? c.policy : "(empty)";
+  for (char& ch : policy) {
+    if (ch == '\n') ch = ',';
+  }
+  *os << c.ip << ':' << c.port << " vs " << policy;
+}
 
 class ExitPolicyProperty : public ::testing::TestWithParam<PolicyCase> {};
 
