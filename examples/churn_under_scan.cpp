@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
   meas::RttMatrix matrix;
   meas::ParallelScanner scanner(pool, matrix);
-  meas::ParallelScanOptions scan_options;
+  meas::ScanOptions scan_options;
   scan_options.attempts_per_pair = 4;
   scan_options.live_consensus = &world.consensus();
   scan_options.fault_plan = &plan;

@@ -48,14 +48,10 @@ TestbedDaemonEnvironment::TestbedDaemonEnvironment(
   swo.ting = options_.ting;
   swo.pool = options_.pool;
   swo.fault_spec = options_.fault_spec;
-  swo.share_topology = options_.share_topology;
   const auto construct_start = std::chrono::steady_clock::now();
-  TopologyPtr topology =
-      options_.share_topology ? shard_topology(swo) : nullptr;
+  const TopologyPtr topology = shard_topology(swo);
   for (std::size_t s = 0; s < options_.shards; ++s) {
-    worlds_.push_back(topology != nullptr
-                          ? std::make_unique<TestbedShardWorld>(swo, topology)
-                          : std::make_unique<TestbedShardWorld>(swo));
+    worlds_.push_back(std::make_unique<TestbedShardWorld>(swo, topology));
     appliers_.push_back(std::make_unique<ChurnApplier>(worlds_[s]->world()));
   }
   world_construct_ms_ = std::chrono::duration<double, std::milli>(
@@ -87,23 +83,12 @@ meas::ScanReport TestbedDaemonEnvironment::scan_pairs(
     const meas::ParallelScanner::PairList& pairs,
     meas::RttMatrix& epoch_matrix, const meas::ScanOptions& options,
     const meas::ScanProgress& progress) {
-  if (worlds_.size() == 1) {
-    TestbedShardWorld& w = *worlds_[0];
-    meas::ParallelScanner scanner(w.measurers(), epoch_matrix);
-    meas::ParallelScanOptions popt;
-    static_cast<meas::ScanOptions&>(popt) = options;
-    popt.reseed_world = [&w](std::uint64_t seed) { w.reseed(seed); };
-    if (popt.live_consensus == nullptr) popt.live_consensus = w.live_consensus();
-    if (popt.fault_plan == nullptr) popt.fault_plan = w.fault_plan();
-    return scanner.scan_pairs(nodes, pairs, popt, progress);
-  }
   meas::ShardedScanner scanner(
       [this](std::size_t shard) -> std::unique_ptr<meas::ShardWorld> {
         return std::make_unique<BorrowedShardWorld>(
             *worlds_[shard % worlds_.size()]);
       });
-  meas::ShardedScanOptions sopt;
-  static_cast<meas::ScanOptions&>(sopt) = options;
+  meas::ShardedScanOptions sopt{options};
   sopt.shards = worlds_.size();
   sopt.deterministic = true;
   return scanner.scan_pairs(nodes, pairs, epoch_matrix, sopt, progress);

@@ -7,8 +7,8 @@
 // invocation — the daemon's whole point is that state persists). Each epoch
 // boundary the ChurnFeed's events are projected onto *every* world so their
 // directory views stay in lockstep, then the epoch worklist runs through
-// ShardedScanner::scan_pairs (or a plain ParallelScanner when shards == 1)
-// in deterministic mode.
+// ShardedScanner::scan_pairs in deterministic mode. All worlds are
+// instantiated over one immutable topology built once at construction.
 //
 // Fault plans (--faults, including die:) are applied per world at
 // construction and fire at each world's own virtual times, so with faults
@@ -42,10 +42,6 @@ struct DaemonWorldOptions {
   /// Measurement hosts per world (deterministic mode drives only the
   /// first; extras matter for non-deterministic experiments).
   std::size_t pool = 1;
-  /// Build the immutable topology once and share it across the persistent
-  /// shard worlds (default); false re-derives it per world (the historical
-  /// clone path, kept as the parity baseline).
-  bool share_topology = true;
 };
 
 class TestbedDaemonEnvironment : public meas::DaemonEnvironment {

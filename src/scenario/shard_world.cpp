@@ -7,9 +7,6 @@
 
 namespace ting::scenario {
 
-TestbedShardWorld::TestbedShardWorld(const ShardWorldOptions& options)
-    : TestbedShardWorld(options, shard_topology(options)) {}
-
 TestbedShardWorld::TestbedShardWorld(const ShardWorldOptions& options,
                                      TopologyPtr topology)
     : world_(testbed_from_topology(std::move(topology))) {
@@ -33,16 +30,6 @@ TestbedShardWorld::TestbedShardWorld(const ShardWorldOptions& options,
   }
 }
 
-meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options) {
-  if (options.share_topology)
-    return make_testbed_shard_factory(options, shard_topology(options));
-  // Legacy clone path: every worker re-derives the topology from the seed.
-  return [options](std::size_t) -> std::unique_ptr<meas::ShardWorld> {
-    return std::make_unique<TestbedShardWorld>(options,
-                                               shard_topology(options));
-  };
-}
-
 meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options,
                                                    TopologyPtr topology) {
   TING_CHECK(topology != nullptr);
@@ -51,6 +38,11 @@ meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options,
              -> std::unique_ptr<meas::ShardWorld> {
     return std::make_unique<TestbedShardWorld>(options, topology);
   };
+}
+
+meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options) {
+  TopologyPtr topology = shard_topology(options);
+  return make_testbed_shard_factory(std::move(options), std::move(topology));
 }
 
 TopologyPtr shard_topology(const ShardWorldOptions& options) {

@@ -1,8 +1,9 @@
-// Testbed-backed shard worlds for the sharded scan engine: every shard gets
-// a complete, independent live_tor() clone built from the same
-// ShardWorldOptions — same seed, therefore the same relay fingerprints,
-// geography, and latency model in every world — so per-shard measurements
-// land on the same logical pairs and merge cleanly.
+// Testbed-backed shard worlds for the sharded scan engine: every shard
+// instantiates its own mutable world half (event loop, network, relays,
+// measurement hosts) over one immutable live_tor() topology built once from
+// the ShardWorldOptions — the same relay fingerprints, geography, and
+// latency model in every world — so per-shard measurements land on the same
+// logical pairs and merge cleanly.
 #pragma once
 
 #include <memory>
@@ -29,22 +30,14 @@ struct ShardWorldOptions {
   /// world's scan nodes. Faults fire at per-shard virtual times, so
   /// bit-identity across shard counts no longer holds.
   std::string fault_spec;
-  /// Build the immutable topology (geography, identities, base-RTT table)
-  /// once and share it read-only across all shard worlds. When false, every
-  /// shard re-derives the full topology from the seed — the historical
-  /// clone-per-shard behaviour, kept as the parity baseline; output is
-  /// bit-identical either way.
-  bool share_topology = true;
 };
 
 /// One shard's world: a Testbed plus its measurers and (optional) fault
 /// plan, owned together so the factory result is self-contained.
 class TestbedShardWorld : public meas::ShardWorld {
  public:
-  /// Builds a private topology (honouring options.share_topology only in
-  /// the factory, which passes one in).
-  explicit TestbedShardWorld(const ShardWorldOptions& options);
-  /// Instantiates the mutable world half over a pre-built shared topology.
+  /// Instantiates the mutable world half over a pre-built shared topology
+  /// (see shard_topology).
   TestbedShardWorld(const ShardWorldOptions& options, TopologyPtr topology);
 
   std::vector<meas::TingMeasurer*> measurers() override { return pool_; }
@@ -68,16 +61,14 @@ class TestbedShardWorld : public meas::ShardWorld {
   bool has_faults_ = false;
 };
 
-/// A factory building identical TestbedShardWorlds (one per worker thread).
-/// With options.share_topology (the default) the immutable topology is
-/// built once, eagerly, on the calling thread, and every worker world is
-/// instantiated over it; otherwise each worker re-derives everything.
-meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options);
-
-/// Same, over a topology the caller already built (e.g. to also derive the
-/// scan-node list without a second topology build).
+/// A factory building identical TestbedShardWorlds (one per worker thread),
+/// all instantiated over `topology`; pass the one shard_topology(options)
+/// returns, which the caller typically also reads the scan-node list from.
 meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options,
                                                    TopologyPtr topology);
+
+/// Same, building the topology once, eagerly, on the calling thread.
+meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options);
 
 /// The topology such worlds share: live_tor(options.relays) frozen at the
 /// immutable layer.

@@ -1,13 +1,15 @@
 // ScanDaemon — the continuous scan service: "a scan that never finishes".
 //
-// The batch engines answer "measure these pairs once"; the daemon runs them
+// The batch engine answers "measure these pairs once"; the daemon runs them
 // forever in *epochs* against a churning consensus. Each epoch it
 //
 //   1. advances the consensus (the environment applies whatever churn the
 //      epoch brings and reports the current relay set),
-//   2. plans a delta worklist (delta_scan.h): never-measured pairs first,
-//      then TTL-expired ones oldest-first, cut to the per-epoch budget,
-//   3. runs the worklist through ShardedScanner/ParallelScanner in
+//   2. plans a delta worklist with the IncrementalDeltaPlanner
+//      (delta_scan.h; plan_delta's full census is its test oracle):
+//      never-measured pairs first, then TTL-expired ones oldest-first, cut
+//      to the per-epoch budget,
+//   3. runs the worklist through the environment's scan engine in
 //      deterministic mode with a per-epoch pair seed, journaling every
 //      result as it lands (scan_journal.h),
 //   4. folds the epoch's results into the persistent SparseRttMatrix,
@@ -114,11 +116,6 @@ struct DaemonOptions {
   std::uint64_t seed = 1;
   /// Memoize half circuits across pairs and epochs (checkpointed).
   bool half_cache = true;
-  /// Plan epochs with the IncrementalDeltaPlanner (O(churn + expired +
-  /// budget) per steady-state epoch) instead of re-running plan_delta's full
-  /// C(n,2) census. The two produce identical plans (pinned by tests); this
-  /// knob exists so parity can keep being checked and regressions bisected.
-  bool incremental_planner = true;
   /// Write the per-pair fsync'd journal. Disabling it trades pair-granular
   /// crash resume for epoch-granular resume (the state file and matrix
   /// checkpoint still make kill -9 safe at epoch boundaries) — at 6,000

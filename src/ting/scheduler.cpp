@@ -117,6 +117,16 @@ PairResult cached_result(const RttMatrix& cache, const dir::Fingerprint& x,
   return r;
 }
 
+/// Whether the cache satisfies (x, y) at `now`. max_age 0 remeasures every
+/// pair, even one stamped at this very instant (which is_fresh's inclusive
+/// bound would otherwise count as fresh).
+bool cache_fresh(const RttMatrix& cache, const ScanOptions& options,
+                 const dir::Fingerprint& x, const dir::Fingerprint& y,
+                 TimePoint now) {
+  return options.max_age > Duration() &&
+         cache.is_fresh(x, y, now, options.max_age);
+}
+
 void count_failure(ScanReport& report, ErrorClass cls) {
   ++report.failed;
   switch (cls) {
@@ -255,162 +265,6 @@ PairResult deferred_result(const dir::Fingerprint& x, const dir::Fingerprint& y,
   return r;
 }
 
-/// The serial scan driver shared by AllPairsScanner and the deterministic
-/// sharded path: one pair at a time through the cache check, quarantine
-/// gate, retry policy (per-class, like the parallel engine), journaling,
-/// and graceful-stop handling. The two engines differ only in how a single
-/// attempt is measured (`measure_attempt`) and in whether matrix/journal
-/// timestamps are zeroed (deterministic mode: shard worlds run unrelated
-/// virtual clocks).
-///
-/// Quarantine-held pairs are parked in a side list; when the live worklist
-/// drains, the driver fast-forwards virtual time to the earliest window
-/// expiry and requeues them — probation probes then decide between clearing
-/// the breaker and walking it to terminal, at which point remaining pairs
-/// resolve as deferred. Every round either resolves a pair or advances a
-/// breaker window, so the loop terminates.
-void serial_scan_pairs(
-    TingMeasurer& m, const std::vector<TingMeasurer*>& pool, RttMatrix& cache,
-    const std::vector<dir::Fingerprint>& nodes,
-    std::deque<std::pair<std::size_t, std::size_t>> work,
-    const ScanOptions& options, const ScanProgress& progress,
-    ScanReport& report, simnet::EventLoop& loop,
-    const std::set<dir::Fingerprint>& never_known,
-    const std::function<PairResult(const dir::Fingerprint&,
-                                   const dir::Fingerprint&)>& measure_attempt,
-    bool zero_timestamps, bool pipeline) {
-  RelayQuarantine quarantine(options.quarantine);
-  std::vector<std::pair<std::size_t, std::size_t>> held;
-  std::size_t done = 0;
-
-  while (!work.empty()) {
-    if (stop_requested(options)) break;
-    const auto [i, j] = work.front();
-    work.pop_front();
-    const dir::Fingerprint& x = nodes[i];
-    const dir::Fingerprint& y = nodes[j];
-
-    if (cache.is_fresh(x, y, loop.now(), options.max_age)) {
-      ++done;
-      ++report.from_cache;
-      if (progress)
-        progress(done, report.pairs_total, cached_result(cache, x, y));
-    } else if (const QuarantineGate gate =
-                   quarantine_gate(quarantine, options, x, y, loop.now());
-               gate.verdict == QuarantineGate::Verdict::kDefer) {
-      ++done;
-      ++report.deferred;
-      report.deferred_pairs.push_back(DeferredPair{x, y, gate.culprit});
-      if (progress)
-        progress(done, report.pairs_total, deferred_result(x, y, gate.culprit));
-    } else if (gate.verdict == QuarantineGate::Verdict::kHold) {
-      held.emplace_back(i, j);
-    } else {
-      if (gate.probation) ++report.probation_probes;
-      // Pipelining: launch the next pair's C_xy build now, so its
-      // EXTENDCIRCUIT round trips overlap this pair's sampling phase.
-      if (pipeline) {
-        for (const auto& [qi, qj] : work) {
-          if (cache.is_fresh(nodes[qi], nodes[qj], loop.now(),
-                             options.max_age))
-            continue;
-          m.prebuild(nodes[qi], nodes[qj]);
-          break;
-        }
-      }
-      // One measurement actually in flight (cache-only scans report 0).
-      report.max_in_flight = 1;
-      report.max_per_relay_in_flight = 1;
-      for (int attempt = 0;; ++attempt) {
-        if (attempt > 0) {
-          // A stop request between attempts abandons the pair (it counts as
-          // interrupted and --resume retries it).
-          if (stop_requested(options)) break;
-          ++report.retries;
-        }
-        const PairResult r = measure_attempt(x, y);
-        accumulate_pair_stats(report, r);
-        const TimePoint stamp = zero_timestamps ? TimePoint{} : loop.now();
-        if (r.ok) {
-          cache.set(x, y, r.rtt_ms, stamp, r.cxy.samples_taken);
-          ++report.measured;
-          ++report.retry_histogram[static_cast<std::size_t>(attempt)];
-          ++done;
-          journal_pair(options, x, y, r, attempt + 1, ErrorClass::kNone, stamp);
-          clear_quarantine(quarantine, options, x, y);
-          if (progress) progress(done, report.pairs_total, r);
-          break;
-        }
-        ErrorClass cls = r.error_class == ErrorClass::kNone
-                             ? ErrorClass::kTransient
-                             : r.error_class;
-        if (cls == ErrorClass::kRelayChurned &&
-            (never_known.contains(x) || never_known.contains(y)))
-          cls = ErrorClass::kPermanent;
-        // Permanents get no further attempts; everything else retries until
-        // the budget is exhausted.
-        if (cls == ErrorClass::kPermanent ||
-            attempt + 1 >= options.attempts_per_pair) {
-          TING_WARN("scan: pair " << x.short_name() << "," << y.short_name()
-                                  << " failed (" << to_string(cls)
-                                  << "): " << r.error);
-          count_failure(report, cls);
-          report.failed_pairs.push_back(FailedPair{x, y, cls, r.error});
-          ++report.retry_histogram[static_cast<std::size_t>(attempt)];
-          ++done;
-          journal_pair(options, x, y, r, attempt + 1, cls, stamp);
-          if (cls == ErrorClass::kPermanent)
-            charge_permanent(quarantine, report, options, x, y, never_known,
-                             loop.now());
-          if (progress) progress(done, report.pairs_total, r);
-          break;
-        }
-        if (cls == ErrorClass::kRelayChurned) {
-          // Wait out a consensus interval, then pull the relay's descriptor
-          // back in if it rejoined.
-          loop.run_until(loop.now() + options.churn_requeue_delay);
-          if (reresolve_pair(options.live_consensus, pool, x, y,
-                             options.half_cache))
-            ++report.churn_reresolved;
-        } else {
-          // Transient: exponential backoff before re-attempting — a crashed
-          // relay gets time to come back.
-          Duration delay = options.retry_backoff_base;
-          for (int k = 0; k < attempt; ++k)
-            delay = delay * options.retry_backoff_factor;
-          loop.run_until(loop.now() + delay);
-        }
-      }
-    }
-
-    // The live worklist drained but quarantined pairs are parked: advance
-    // virtual time to the earliest window expiry and requeue them, so
-    // probation probes can run (or terminal relays defer their pairs).
-    if (work.empty() && !held.empty() && !stop_requested(options)) {
-      TimePoint wake;
-      bool any_quarantined = false;
-      for (const auto& [hi, hj] : held) {
-        for (const dir::Fingerprint* fp : {&nodes[hi], &nodes[hj]}) {
-          if (quarantine.state(*fp, loop.now()) ==
-              RelayQuarantine::State::kQuarantined) {
-            const TimePoint rel = quarantine.release_at(*fp);
-            if (!any_quarantined || rel < wake) wake = rel;
-            any_quarantined = true;
-          }
-        }
-      }
-      if (any_quarantined && wake > loop.now()) loop.run_until(wake);
-      for (const auto& h : held) work.push_back(h);
-      held.clear();
-    }
-  }
-
-  // Anything not terminally resolved (stop mid-scan) is interrupted; a
-  // --resume retries it.
-  report.interrupted_pairs = report.pairs_total - done;
-  report.interrupted = report.interrupted_pairs > 0;
-}
-
 }  // namespace
 
 std::uint64_t pair_reseed(std::uint64_t pair_seed, const dir::Fingerprint& x,
@@ -427,47 +281,6 @@ std::uint64_t half_reseed(std::uint64_t pair_seed, const dir::Fingerprint& x) {
   return mix64(pair_seed ^ mix64(fp_mix(x)));
 }
 
-ScanReport AllPairsScanner::scan(const std::vector<dir::Fingerprint>& nodes,
-                                 const ScanOptions& options,
-                                 const Progress& progress) {
-  TING_CHECK(options.attempts_per_pair >= 1);
-  ScanReport report;
-  report.retry_histogram.assign(
-      static_cast<std::size_t>(options.attempts_per_pair), 0);
-  simnet::EventLoop& loop = measurer_.host().loop();
-  const TimePoint started = loop.now();
-  const std::vector<TingMeasurer*> pool{&measurer_};
-  const MeasurerScanScope scope(pool, options.half_cache);
-  const std::set<dir::Fingerprint> never_known = never_known_nodes(
-      nodes, options.live_consensus != nullptr ? *options.live_consensus
-                                               : measurer_.host().op().consensus());
-
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < nodes.size(); ++j)
-      pairs.emplace_back(i, j);
-  report.pairs_total = pairs.size();
-
-  if (options.randomize_order) {
-    Rng rng(options.order_seed);
-    rng.shuffle(pairs);
-  }
-
-  serial_scan_pairs(
-      measurer_, pool, cache_, nodes,
-      std::deque<std::pair<std::size_t, std::size_t>>(pairs.begin(),
-                                                      pairs.end()),
-      options, progress, report, loop, never_known,
-      [&](const dir::Fingerprint& x, const dir::Fingerprint& y) {
-        return measurer_.measure_blocking(x, y);
-      },
-      /*zero_timestamps=*/false, /*pipeline=*/options.pipeline_builds);
-
-  report.virtual_time = loop.now() - started;
-  annotate_fault_events(report, options, started, loop.now());
-  return report;
-}
-
 // ---- ParallelScanner --------------------------------------------------------
 
 struct ParallelScanner::ScanState {
@@ -477,7 +290,7 @@ struct ParallelScanner::ScanState {
   };
 
   const std::vector<dir::Fingerprint>* nodes = nullptr;
-  ParallelScanOptions options;
+  ScanOptions options;
   Progress progress;
   ScanReport report;
 
@@ -618,6 +431,23 @@ void ParallelScanner::dispatch(ScanState& st, std::size_t host,
       std::max(st.report.max_per_relay_in_flight,
                static_cast<std::size_t>(std::max(nx, ny)));
 
+  // Pipelining: prebuild the C_xy circuit of a queued task on the same host,
+  // so its EXTENDCIRCUIT round trips overlap this measurement's sampling,
+  // and hint pump to route that task back here. Tasks already hinted to
+  // another host are skipped so two hosts never prebuild the same pair. The
+  // prebuild is issued before this pair's own measurement starts.
+  if (st.options.pipeline_builds) {
+    for (const std::size_t t2 : st.ready) {
+      if (std::find(st.host_hint.begin(), st.host_hint.end(), t2) !=
+          st.host_hint.end())
+        continue;
+      const ScanState::Task& next = st.tasks[t2];
+      measurers_[host]->prebuild((*st.nodes)[next.i], (*st.nodes)[next.j]);
+      st.host_hint[host] = t2;
+      break;
+    }
+  }
+
   // &st stays valid for the callback's lifetime: scan() blocks until every
   // dispatched measurement and scheduled retry has resolved. Completion is
   // deferred through the loop because measure_async can fail synchronously
@@ -630,22 +460,6 @@ void ParallelScanner::dispatch(ScanState& st, std::size_t host,
           on_complete(st, host, t, std::move(r));
         });
   });
-
-  // Pipelining: while this measurement samples, prebuild the C_xy circuit
-  // of a queued task on the same host, and hint pump to route that task
-  // back here. Tasks already hinted to another host are skipped so two
-  // hosts never prebuild the same pair.
-  if (st.options.pipeline_builds) {
-    for (const std::size_t t2 : st.ready) {
-      if (std::find(st.host_hint.begin(), st.host_hint.end(), t2) !=
-          st.host_hint.end())
-        continue;
-      const ScanState::Task& next = st.tasks[t2];
-      measurers_[host]->prebuild((*st.nodes)[next.i], (*st.nodes)[next.j]);
-      st.host_hint[host] = t2;
-      break;
-    }
-  }
 }
 
 void ParallelScanner::on_complete(ScanState& st, std::size_t host,
@@ -751,7 +565,7 @@ void ParallelScanner::on_complete(ScanState& st, std::size_t host,
 }
 
 ScanReport ParallelScanner::scan(const std::vector<dir::Fingerprint>& nodes,
-                                 const ParallelScanOptions& options,
+                                 const ScanOptions& options,
                                  const Progress& progress) {
   PairList pairs;
   if (!nodes.empty())
@@ -764,7 +578,7 @@ ScanReport ParallelScanner::scan(const std::vector<dir::Fingerprint>& nodes,
 
 ScanReport ParallelScanner::scan_pairs(
     const std::vector<dir::Fingerprint>& nodes, const PairList& pairs,
-    const ParallelScanOptions& options, const Progress& progress) {
+    const ScanOptions& options, const Progress& progress) {
   TING_CHECK(options.attempts_per_pair >= 1);
   TING_CHECK(options.per_relay_cap >= 1);
   TING_CHECK(options.retry_backoff_factor >= 1);
@@ -796,7 +610,7 @@ ScanReport ParallelScanner::scan_pairs(
   st.report.pairs_total = pairs.size();
 
   for (const auto& [i, j] : pairs) {
-    if (cache_.is_fresh(nodes[i], nodes[j], loop.now(), options.max_age)) {
+    if (cache_fresh(cache_, options, nodes[i], nodes[j], loop.now())) {
       ++st.report.from_cache;
       ++st.done;
       if (progress)
@@ -946,12 +760,23 @@ PairResult measure_pair_memoized(TingMeasurer& m, const ScanOptions& options,
 
 ScanReport ParallelScanner::scan_deterministic(
     const std::vector<dir::Fingerprint>& nodes, const PairList& pairs,
-    const ParallelScanOptions& options, const Progress& progress) {
+    const ScanOptions& options, const Progress& progress) {
   // Strictly serial on the first measurer: the pool's extra hosts carry
   // world-specific fingerprints and seeds, so touching them would make the
   // result depend on pool size. Before every attempt the world's stochastic
   // state is reset to a pure function of (pair_seed, x, y), which makes each
   // pair's estimate independent of scan order and shard partitioning.
+  // Pipelining stays off — a circuit built under the previous pair's world
+  // seed would break per-pair purity.
+  //
+  // One pair at a time goes through the cache check, quarantine gate, retry
+  // policy (per-class, like the concurrent engine), journaling, and
+  // graceful-stop handling. Quarantine-held pairs are parked in a side list;
+  // when the live worklist drains, the driver fast-forwards virtual time to
+  // the earliest window expiry and requeues them — probation probes then
+  // decide between clearing the breaker and walking it to terminal, at
+  // which point remaining pairs resolve as deferred. Every round either
+  // resolves a pair or advances a breaker window, so the loop terminates.
   TingMeasurer& m = *measurers_[0];
   simnet::EventLoop& loop = m.host().loop();
   const TimePoint started = loop.now();
@@ -969,36 +794,150 @@ ScanReport ParallelScanner::scan_deterministic(
     Rng rng(options.order_seed);
     rng.shuffle(order);
   }
+  std::deque<std::pair<std::size_t, std::size_t>> work(order.begin(),
+                                                       order.end());
 
   // Count every world reseed (per pair + per non-memoized half probe) into
   // the report, without the reseed paths having to know about it.
-  ParallelScanOptions det = options;
+  ScanOptions det = options;
   det.reseed_world = [&report, reseed = options.reseed_world](
                          std::uint64_t seed) {
     ++report.reseeds;
     reseed(seed);
   };
+  const auto measure_attempt = [&](const dir::Fingerprint& x,
+                                   const dir::Fingerprint& y) {
+    // Teardown cells from the previous pair must not consume draws from the
+    // freshly-seeded rngs, so quiesce the loop before reseeding.
+    drain_in_flight(loop, kDrainHorizon);
+    if (det.half_cache != nullptr)
+      return measure_pair_memoized(m, det, x, y, loop, kDrainHorizon);
+    det.reseed_world(pair_reseed(det.pair_seed, x, y));
+    return m.measure_blocking(x, y);
+  };
 
-  serial_scan_pairs(
-      m, measurers_, cache_, nodes,
-      std::deque<std::pair<std::size_t, std::size_t>>(order.begin(),
-                                                      order.end()),
-      det, progress, report, loop, never_known,
-      [&](const dir::Fingerprint& x, const dir::Fingerprint& y) {
-        // Teardown cells from the previous pair must not consume draws from
-        // the freshly-seeded rngs, so quiesce the loop before reseeding.
-        drain_in_flight(loop, kDrainHorizon);
-        if (det.half_cache != nullptr)
-          return measure_pair_memoized(m, det, x, y, loop, kDrainHorizon);
-        det.reseed_world(pair_reseed(det.pair_seed, x, y));
-        return m.measure_blocking(x, y);
-      },
-      // Zero timestamps: shard worlds run unrelated virtual clocks, and
-      // clock-free entries keep merged CSVs bit-identical across shard
-      // counts. Pipelining stays off — a circuit built under the previous
-      // pair's world seed would break per-pair purity.
-      /*zero_timestamps=*/true, /*pipeline=*/false);
+  RelayQuarantine quarantine(options.quarantine);
+  std::vector<std::pair<std::size_t, std::size_t>> held;
+  std::size_t done = 0;
 
+  while (!work.empty()) {
+    if (stop_requested(options)) break;
+    const auto [i, j] = work.front();
+    work.pop_front();
+    const dir::Fingerprint& x = nodes[i];
+    const dir::Fingerprint& y = nodes[j];
+
+    if (cache_fresh(cache_, options, x, y, loop.now())) {
+      ++done;
+      ++report.from_cache;
+      if (progress)
+        progress(done, report.pairs_total, cached_result(cache_, x, y));
+    } else if (const QuarantineGate gate =
+                   quarantine_gate(quarantine, options, x, y, loop.now());
+               gate.verdict == QuarantineGate::Verdict::kDefer) {
+      ++done;
+      ++report.deferred;
+      report.deferred_pairs.push_back(DeferredPair{x, y, gate.culprit});
+      if (progress)
+        progress(done, report.pairs_total, deferred_result(x, y, gate.culprit));
+    } else if (gate.verdict == QuarantineGate::Verdict::kHold) {
+      held.emplace_back(i, j);
+    } else {
+      if (gate.probation) ++report.probation_probes;
+      // One measurement actually in flight (cache-only scans report 0).
+      report.max_in_flight = 1;
+      report.max_per_relay_in_flight = 1;
+      for (int attempt = 0;; ++attempt) {
+        if (attempt > 0) {
+          // A stop request between attempts abandons the pair (it counts as
+          // interrupted and --resume retries it).
+          if (stop_requested(options)) break;
+          ++report.retries;
+        }
+        const PairResult r = measure_attempt(x, y);
+        accumulate_pair_stats(report, r);
+        // Zero timestamps: shard worlds run unrelated virtual clocks, and
+        // clock-free entries keep merged CSVs bit-identical across shard
+        // counts.
+        const TimePoint stamp{};
+        if (r.ok) {
+          cache_.set(x, y, r.rtt_ms, stamp, r.cxy.samples_taken);
+          ++report.measured;
+          ++report.retry_histogram[static_cast<std::size_t>(attempt)];
+          ++done;
+          journal_pair(options, x, y, r, attempt + 1, ErrorClass::kNone, stamp);
+          clear_quarantine(quarantine, options, x, y);
+          if (progress) progress(done, report.pairs_total, r);
+          break;
+        }
+        ErrorClass cls = r.error_class == ErrorClass::kNone
+                             ? ErrorClass::kTransient
+                             : r.error_class;
+        if (cls == ErrorClass::kRelayChurned &&
+            (never_known.contains(x) || never_known.contains(y)))
+          cls = ErrorClass::kPermanent;
+        // Permanents get no further attempts; everything else retries until
+        // the budget is exhausted.
+        if (cls == ErrorClass::kPermanent ||
+            attempt + 1 >= options.attempts_per_pair) {
+          TING_WARN("scan: pair " << x.short_name() << "," << y.short_name()
+                                  << " failed (" << to_string(cls)
+                                  << "): " << r.error);
+          count_failure(report, cls);
+          report.failed_pairs.push_back(FailedPair{x, y, cls, r.error});
+          ++report.retry_histogram[static_cast<std::size_t>(attempt)];
+          ++done;
+          journal_pair(options, x, y, r, attempt + 1, cls, stamp);
+          if (cls == ErrorClass::kPermanent)
+            charge_permanent(quarantine, report, options, x, y, never_known,
+                             loop.now());
+          if (progress) progress(done, report.pairs_total, r);
+          break;
+        }
+        if (cls == ErrorClass::kRelayChurned) {
+          // Wait out a consensus interval, then pull the relay's descriptor
+          // back in if it rejoined.
+          loop.run_until(loop.now() + options.churn_requeue_delay);
+          if (reresolve_pair(options.live_consensus, measurers_, x, y,
+                             options.half_cache))
+            ++report.churn_reresolved;
+        } else {
+          // Transient: exponential backoff before re-attempting — a crashed
+          // relay gets time to come back.
+          Duration delay = options.retry_backoff_base;
+          for (int k = 0; k < attempt; ++k)
+            delay = delay * options.retry_backoff_factor;
+          loop.run_until(loop.now() + delay);
+        }
+      }
+    }
+
+    // The live worklist drained but quarantined pairs are parked: advance
+    // virtual time to the earliest window expiry and requeue them, so
+    // probation probes can run (or terminal relays defer their pairs).
+    if (work.empty() && !held.empty() && !stop_requested(options)) {
+      TimePoint wake;
+      bool any_quarantined = false;
+      for (const auto& [hi, hj] : held) {
+        for (const dir::Fingerprint* fp : {&nodes[hi], &nodes[hj]}) {
+          if (quarantine.state(*fp, loop.now()) ==
+              RelayQuarantine::State::kQuarantined) {
+            const TimePoint rel = quarantine.release_at(*fp);
+            if (!any_quarantined || rel < wake) wake = rel;
+            any_quarantined = true;
+          }
+        }
+      }
+      if (any_quarantined && wake > loop.now()) loop.run_until(wake);
+      for (const auto& h : held) work.push_back(h);
+      held.clear();
+    }
+  }
+
+  // Anything not terminally resolved (stop mid-scan) is interrupted; a
+  // --resume retries it.
+  report.interrupted_pairs = report.pairs_total - done;
+  report.interrupted = report.interrupted_pairs > 0;
   report.virtual_time = loop.now() - started;
   annotate_fault_events(report, options, started, loop.now());
   return report;

@@ -1,22 +1,22 @@
-// Scan engines — the drivers that turn single-pair Ting measurements into
+// Scan engine — the driver that turns single-pair Ting measurements into
 // the all-pairs RTT datasets the §5 applications consume.
 //
-// Both engines implement the operational practices the paper describes:
-// pairs are probed in randomized order (§4.2), results land in a cached
-// RttMatrix, fresh cache entries are skipped on re-scan (§4.6: measurements
-// are stable over a week, so "taking measurements with Ting infrequently
-// and caching them is sufficient"), and failed pairs are retried a bounded
-// number of times before being reported.
+// ParallelScanner implements the operational practices the paper
+// describes: pairs are probed in randomized order (§4.2), results land in a
+// cached RttMatrix, fresh cache entries are skipped on re-scan (§4.6:
+// measurements are stable over a week, so "taking measurements with Ting
+// infrequently and caching them is sufficient"), and failed pairs are
+// retried a bounded number of times before being reported.
 //
-//  - AllPairsScanner: one measurement host, one pair at a time. Simple and
-//    exactly reproducible; what the paper's own scans did.
-//  - ParallelScanner: a pool of measurement hosts keeps K pairs in flight
-//    simultaneously on one simnet event loop — the "parallelizes trivially"
-//    observation of §4.5 — under an admission policy that caps concurrent
-//    circuits per target relay, so a hot relay is never probed by many
-//    circuits at once (which would inflate its observed minimum, the
-//    congestion concern of §4.3). Failed pairs are re-queued with
-//    exponential backoff before being reported as failed.
+// A pool of measurement hosts keeps K pairs in flight simultaneously on one
+// simnet event loop — the "parallelizes trivially" observation of §4.5 —
+// under an admission policy that caps concurrent circuits per target relay,
+// so a hot relay is never probed by many circuits at once (which would
+// inflate its observed minimum, the congestion concern of §4.3). Failed
+// pairs are re-queued with exponential backoff before being reported as
+// failed. With one measurer (K=1) this is the paper's own one-pair-at-a-time
+// scan, except that a pair waiting out a retry backoff or a quarantine hold
+// does not idle the measurer: other pairs run meanwhile.
 //
 // Failures are handled per ErrorClass (see measurer.h): transients retry
 // with backoff, permanents fail immediately after their single attempt, and
@@ -45,6 +45,10 @@ struct ScanOptions {
   /// Skip pairs whose cached entry is younger than this (0 = remeasure all).
   Duration max_age = Duration::seconds(7 * 24 * 3600);
   int attempts_per_pair = 2;
+  /// Max concurrent pair measurements touching one target relay. A pair
+  /// (x, y) holds one slot on x and one on y for its whole measurement
+  /// (its three circuits all traverse them).
+  int per_relay_cap = 1;
   bool randomize_order = true;
   std::uint64_t order_seed = 1;
   /// The directory's live view of the network, if the caller has one. When
@@ -69,7 +73,7 @@ struct ScanOptions {
   // ---- measurement-plane optimizations -------------------------------------
   /// Half-circuit memoization: when set, fresh R_Cx/R_Cy entries satisfy the
   /// C_x/C_y probes without building a circuit, and successful misses are
-  /// stored back. The engines attach the cache to their pool measurers for
+  /// stored back. The engine attaches the cache to its pool measurers for
   /// the scan's duration (entries are keyed per measurement apparatus — see
   /// half_circuit_cache.h); the deterministic path instead reseeds the world
   /// per half-circuit so memoized and fresh values are bit-identical. A
@@ -89,8 +93,8 @@ struct ScanOptions {
   /// the journal. Shared across shard threads (the journal is thread-safe).
   ScanJournal* journal = nullptr;
   /// Graceful-shutdown flag (e.g. set from a SIGINT handler). When it goes
-  /// true the engines stop claiming new pairs, let in-flight measurements
-  /// drain, and report the unprobed remainder as interrupted_pairs.
+  /// true the engine stops claiming new pairs, lets in-flight measurements
+  /// drain, and reports the unprobed remainder as interrupted_pairs.
   const std::atomic<bool>* stop = nullptr;
   /// Per-relay circuit breaker (see quarantine.h): consecutive permanent
   /// failures quarantine a relay, deferring its pending pairs instead of
@@ -98,7 +102,7 @@ struct ScanOptions {
   QuarantineOptions quarantine;
 
   // ---- deterministic per-pair mode (sharded scanning) ----------------------
-  /// When set, the parallel engine measures pairs strictly one at a time on
+  /// When set, the engine measures pairs strictly one at a time on
   /// its first measurer: before every attempt it drains in-flight traffic
   /// and calls reseed_world(pair_reseed(pair_seed, x, y)), making each
   /// pair's estimate a pure function of (world construction seed, pair_seed,
@@ -210,33 +214,6 @@ struct ScanReport {
 using ScanProgress =
     std::function<void(std::size_t, std::size_t, const PairResult&)>;
 
-class AllPairsScanner {
- public:
-  using Progress = ScanProgress;
-
-  AllPairsScanner(TingMeasurer& measurer, RttMatrix& cache)
-      : measurer_(measurer), cache_(cache) {}
-
-  /// Measure all unordered pairs of `nodes` (blocking; pumps the event
-  /// loop). Results are written into the cache matrix.
-  ScanReport scan(const std::vector<dir::Fingerprint>& nodes,
-                  const ScanOptions& options = {},
-                  const Progress& progress = {});
-
-  RttMatrix& cache() { return cache_; }
-
- private:
-  TingMeasurer& measurer_;
-  RttMatrix& cache_;
-};
-
-struct ParallelScanOptions : ScanOptions {
-  /// Max concurrent pair measurements touching one target relay. A pair
-  /// (x, y) holds one slot on x and one on y for its whole measurement
-  /// (its three circuits all traverse them).
-  int per_relay_cap = 1;
-};
-
 class ParallelScanner {
  public:
   using Progress = ScanProgress;
@@ -252,7 +229,7 @@ class ParallelScanner {
   /// event loop until every pair has succeeded, exhausted its attempts, or
   /// been served from cache). Results are written into the cache matrix.
   ScanReport scan(const std::vector<dir::Fingerprint>& nodes,
-                  const ParallelScanOptions& options = {},
+                  const ScanOptions& options = {},
                   const Progress& progress = {});
 
   /// Measure an explicit pair worklist — the sharded scanner's entry point
@@ -262,7 +239,7 @@ class ParallelScanner {
   /// otherwise the normal concurrent engine runs over the list.
   ScanReport scan_pairs(const std::vector<dir::Fingerprint>& nodes,
                         const PairList& pairs,
-                        const ParallelScanOptions& options = {},
+                        const ScanOptions& options = {},
                         const Progress& progress = {});
 
   RttMatrix& cache() { return cache_; }
@@ -271,7 +248,7 @@ class ParallelScanner {
  private:
   ScanReport scan_deterministic(const std::vector<dir::Fingerprint>& nodes,
                                 const PairList& pairs,
-                                const ParallelScanOptions& options,
+                                const ScanOptions& options,
                                 const Progress& progress);
 
   struct ScanState;

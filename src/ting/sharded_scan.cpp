@@ -119,7 +119,7 @@ ScanReport ShardedScanner::scan_pairs(const std::vector<dir::Fingerprint>& nodes
       // pairs in every shard, not just in the merged output.
       results[s].matrix = out;
       ParallelScanner scanner(world->measurers(), results[s].matrix);
-      ParallelScanOptions opt = options;  // slice off the shard fields
+      ScanOptions opt = options;  // slice off the shard fields
       if (options.half_cache != nullptr) {
         // Each worker measures against a private copy — threads never share
         // the cache — and the freshest entries are merged back after join.

@@ -61,7 +61,7 @@ class ShardWorld {
 using ShardWorldFactory =
     std::function<std::unique_ptr<ShardWorld>(std::size_t shard)>;
 
-struct ShardedScanOptions : ParallelScanOptions {
+struct ShardedScanOptions : ScanOptions {
   /// Worker threads = independent shard worlds.
   std::size_t shards = 1;
   /// Per-pair world reseeding for bit-identical output across shard counts

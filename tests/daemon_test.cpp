@@ -9,7 +9,9 @@
 #include <string>
 
 #include "scenario/daemon_world.h"
+#include "scenario/synthetic_env.h"
 #include "ting/daemon.h"
+#include "ting/delta_scan.h"
 #include "ting/sparse_matrix.h"
 #include "util/assert.h"
 
@@ -198,40 +200,75 @@ TEST(ScanDaemonTest, ShardCountDoesNotChangeTheMatrix) {
   EXPECT_EQ(read_file(out1), read_file(out2));
 }
 
-TEST(ScanDaemonTest, IncrementalPlannerOnOrOffIsByteIdentical) {
-  // The incremental planner is a performance path, not a policy change: the
-  // daemon must produce the same artifacts with it on or off — including
-  // across a crash/resume, where a fresh process starts with an unprimed
-  // planner mid-sequence.
-  const double churn = 0.1;
-  const std::string inc_out = ::testing::TempDir() + "/daemon_inc.tingmx";
-  const std::string full_out = ::testing::TempDir() + "/daemon_full.tingmx";
-  {
-    scenario::TestbedDaemonEnvironment env(small_world(61, churn));
-    DaemonOptions opts = daemon_opts(inc_out, 3);
-    opts.incremental_planner = true;
-    ScanDaemon daemon(env, opts);
-    EXPECT_FALSE(daemon.run().interrupted);
-  }
-  {
-    scenario::TestbedDaemonEnvironment env(small_world(61, churn));
-    DaemonOptions opts = daemon_opts(full_out, 3);
-    opts.incremental_planner = false;
-    ScanDaemon daemon(env, opts);
-    EXPECT_FALSE(daemon.run().interrupted);
-  }
-  EXPECT_EQ(read_file(inc_out), read_file(full_out));
-  EXPECT_EQ(read_file(inc_out + ".halves"), read_file(full_out + ".halves"));
+/// The planner oracle: the daemon always plans with the
+/// IncrementalDeltaPlanner, so every completed epoch's plan is checked
+/// against plan_delta's full census over a copy of the previous epoch's
+/// store — the same worklist, in the same order, with the same counters.
+class PlannerOracle {
+ public:
+  /// `store` is what the daemon starts from: empty for a fresh run, the
+  /// on-disk store for a --resume.
+  explicit PlannerOracle(SparseRttMatrix store = {})
+      : prev_(std::move(store)) {}
 
-  // Interrupt an incremental-planner run mid-epoch, resume it (unprimed
-  // planner against the persisted matrix), and compare again.
-  const std::string cut_out = ::testing::TempDir() + "/daemon_inc_cut.tingmx";
+  /// Install the check as `d`'s checkpoint hook.
+  void attach(DaemonOptions& d) {
+    d.on_checkpoint = [this, interval = d.epoch_interval,
+                       plan_opts = DeltaPlanOptions{d.ttl, d.budget}](
+                          const SparseRttMatrix& matrix,
+                          const std::vector<dir::Fingerprint>& nodes,
+                          const std::vector<dir::Fingerprint>&,
+                          const EpochStats& stats) {
+      const DeltaPlan want =
+          plan_delta(prev_, nodes, ScanDaemon::epoch_clock(interval, stats.epoch),
+                     plan_opts);
+      EXPECT_EQ(stats.plan.pairs, want.pairs) << "epoch " << stats.epoch;
+      EXPECT_EQ(stats.plan.new_pairs, want.new_pairs) << "epoch " << stats.epoch;
+      EXPECT_EQ(stats.plan.expired_pairs, want.expired_pairs)
+          << "epoch " << stats.epoch;
+      EXPECT_EQ(stats.plan.fresh_pairs, want.fresh_pairs)
+          << "epoch " << stats.epoch;
+      EXPECT_EQ(stats.plan.dropped_over_budget, want.dropped_over_budget)
+          << "epoch " << stats.epoch;
+      prev_ = matrix;
+      ++epochs_checked_;
+    };
+  }
+
+  std::size_t epochs_checked() const { return epochs_checked_; }
+
+ private:
+  SparseRttMatrix prev_;
+  std::size_t epochs_checked_ = 0;
+};
+
+TEST(ScanDaemonTest, PlannerMatchesFullCensusEpochByEpoch) {
+  // Epoch by epoch, including across a crash/resume, where a fresh process
+  // starts with an unprimed planner mid-sequence.
+  const double churn = 0.1;
+  const std::string ref_out = ::testing::TempDir() + "/daemon_oracle.tingmx";
+  {
+    scenario::TestbedDaemonEnvironment env(small_world(61, churn));
+    DaemonOptions opts = daemon_opts(ref_out, 3);
+    PlannerOracle oracle;
+    oracle.attach(opts);
+    ScanDaemon daemon(env, opts);
+    EXPECT_FALSE(daemon.run().interrupted);
+    EXPECT_EQ(oracle.epochs_checked(), 3u);
+  }
+
+  // Interrupt a run mid-epoch, resume it (unprimed planner against the
+  // persisted matrix), and compare the plans and the final store again.
+  const std::string cut_out =
+      ::testing::TempDir() + "/daemon_oracle_cut.tingmx";
+  std::size_t cut_completed = 0;
   {
     scenario::TestbedDaemonEnvironment env(small_world(61, churn));
     std::atomic<bool> stop{false};
     DaemonOptions opts = daemon_opts(cut_out, 3);
-    opts.incremental_planner = true;
     opts.stop = &stop;
+    PlannerOracle oracle;
+    oracle.attach(opts);
     ScanDaemon daemon(env, opts);
     std::size_t results = 0;
     const DaemonReport r = daemon.run(
@@ -239,16 +276,45 @@ TEST(ScanDaemonTest, IncrementalPlannerOnOrOffIsByteIdentical) {
           if (++results == 8) stop.store(true);
         });
     EXPECT_TRUE(r.interrupted);
+    cut_completed = oracle.epochs_checked();
   }
   {
     scenario::TestbedDaemonEnvironment env(small_world(61, churn));
     DaemonOptions opts = daemon_opts(cut_out, 3);
-    opts.incremental_planner = true;
     opts.resume = true;
+    PlannerOracle oracle(SparseRttMatrix::load_bin(cut_out));
+    oracle.attach(opts);
     ScanDaemon daemon(env, opts);
     EXPECT_FALSE(daemon.run().interrupted);
+    EXPECT_EQ(cut_completed + oracle.epochs_checked(), 3u);
   }
-  EXPECT_EQ(read_file(cut_out), read_file(inc_out));
+  EXPECT_EQ(read_file(cut_out), read_file(ref_out));
+}
+
+TEST(ScanDaemonTest, SyntheticPlannerMatchesFullCensusEpochByEpoch) {
+  // `ting daemon --synthetic 300 --epochs 3 --budget 20000 --churn 0.02
+  // --seed 5`: the budget cuts the first epochs, so the over-budget
+  // backlog carries across epochs.
+  scenario::SyntheticEnvOptions seo;
+  seo.relays = 300;
+  seo.testbed.seed = 5;
+  seo.churn.seed = 5;
+  seo.churn.churn_rate = 0.02;
+  seo.samples = 50;
+  scenario::SyntheticDaemonEnvironment env(seo);
+  DaemonOptions opts =
+      daemon_opts(::testing::TempDir() + "/daemon_oracle_synth.tingmx", 3);
+  opts.budget = 20000;
+  opts.half_cache = false;
+  opts.engine.quarantine.enabled = true;
+  PlannerOracle oracle;
+  oracle.attach(opts);
+  ScanDaemon daemon(env, opts);
+  const DaemonReport r = daemon.run();
+  EXPECT_FALSE(r.interrupted);
+  EXPECT_EQ(oracle.epochs_checked(), 3u);
+  ASSERT_EQ(r.epochs.size(), 3u);
+  EXPECT_GT(r.epochs[0].plan.dropped_over_budget, 0u);
 }
 
 TEST(ScanDaemonTest, JournalOffStillResumesAtEpochGranularity) {

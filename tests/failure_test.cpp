@@ -211,7 +211,7 @@ TEST(FailureTest, ScanSurvivesACrashedRelay) {
   cfg.build_timeout = Duration::seconds(20);
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   tb.net().set_host_down(tb.host_of(tb.fp(1)));
   std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), tb.fp(2)};
@@ -314,11 +314,13 @@ TEST(FailureTest, ScanRecoversAfterCrashWindow) {
   cfg.max_build_attempts = 1;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   // Relay 1 is down from the start and recovers after 60 s; the engine's
-  // transient retries (backoff in the parallel engine, immediate re-attempt
-  // here) must pick it back up.
+  // transient retries (exponential backoff between attempts) must pick it
+  // back up. This runs the concurrent pump with one measurer: the
+  // deterministic driver drains up to 60 s of scheduled events before each
+  // attempt, which would fire the recovery before the first probe.
   simnet::FaultPlan plan(tb.net());
   plan.crash_window(tb.host_of(tb.fp(1)), Duration(), Duration::seconds(60));
 
@@ -347,7 +349,7 @@ TEST(FailureTest, SequentialScanReresolvesChurnedRelay) {
   cfg.samples = 10;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   // fp(2) leaves the consensus 1 s into the scan and rejoins at 51 s.
   simnet::FaultPlan plan(tb.net());
@@ -364,6 +366,11 @@ TEST(FailureTest, SequentialScanReresolvesChurnedRelay) {
   options.live_consensus = &tb.consensus();
   options.churn_requeue_delay = Duration::seconds(30);
   options.fault_plan = &plan;
+  // Deterministic per-pair mode: the serial driver's churn wait and
+  // re-resolution.
+  options.reseed_world = [&tb](std::uint64_t seed) {
+    tb.reseed_stochastics(seed);
+  };
   const ScanReport report = scanner.scan(nodes, options);
 
   // Every pair eventually measures: churned attempts waited for a fresh
@@ -398,7 +405,7 @@ TEST(FailureTest, ParallelScanReresolvesChurnedRelay) {
           [&tb, stash]() { tb.directory_restore(**stash); });
 
   std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), tb.fp(2), tb.fp(3)};
-  ParallelScanOptions options;
+  ScanOptions options;
   options.attempts_per_pair = 5;
   options.live_consensus = &tb.consensus();
   options.churn_requeue_delay = Duration::seconds(30);
@@ -457,7 +464,7 @@ TEST(FailureTest, TwentyNodeScanUnderChurnAndLoss) {
   }
   RttMatrix cache;
   ParallelScanner scanner(pool, cache);
-  ParallelScanOptions options;
+  ScanOptions options;
   options.attempts_per_pair = 6;
   options.live_consensus = &tb.consensus();
   options.churn_requeue_delay = Duration::seconds(20);

@@ -4,8 +4,9 @@
 // permanent failures; its pending pairs are held (not burned at one doomed
 // attempt each), re-probed on probation when the window expires, and
 // written off (deferred, accounted in ScanReport) once the window budget
-// is spent. Both the serial and the parallel engine must implement the
-// same policy with the same counts.
+// is spent. Both of the scan engine's drivers — the deterministic serial
+// one and the concurrent pump — must implement the same policy with the
+// same counts.
 #include <gtest/gtest.h>
 
 #include "scenario/faults.h"
@@ -198,8 +199,14 @@ TEST(QuarantineScanTest, SerialEngineQuarantinesScriptedDeadRelay) {
   cfg.samples = 10;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
-  const ScanReport report = scanner.scan(nodes, quarantine_scan_options());
+  ParallelScanner scanner({&measurer}, cache);
+  // Deterministic per-pair mode runs the serial driver, which parks held
+  // pairs and fast-forwards to the window expiry.
+  ScanOptions options = quarantine_scan_options();
+  options.reseed_world = [&tb](std::uint64_t seed) {
+    tb.reseed_stochastics(seed);
+  };
+  const ScanReport report = scanner.scan(nodes, options);
   check_quarantine_report(report, nodes[7], "serial");
   // The healthy 7-node clique all landed in the cache.
   for (std::size_t i = 0; i < 7; ++i)
@@ -221,9 +228,7 @@ TEST(QuarantineScanTest, ParallelEngineQuarantinesScriptedDeadRelay) {
   // One measurer: pairs resolve in claim order, so the same walkthrough
   // (and the same counts) applies to the parallel engine's pump.
   ParallelScanner scanner({&measurer}, cache);
-  ParallelScanOptions options;
-  static_cast<ScanOptions&>(options) = quarantine_scan_options();
-  const ScanReport report = scanner.scan(nodes, options);
+  const ScanReport report = scanner.scan(nodes, quarantine_scan_options());
   check_quarantine_report(report, nodes[7], "parallel");
 }
 
@@ -240,7 +245,7 @@ TEST(QuarantineScanTest, DisabledBreakerKeepsPerPairSemantics) {
   cfg.samples = 10;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
   ScanOptions options;
   options.randomize_order = false;
   const ScanReport report = scanner.scan(nodes, options);

@@ -1,6 +1,8 @@
-// Tests for AllPairsScanner: full coverage of the pair set, cache-driven
-// skipping (§4.6), retry-then-report on persistent failures, and progress
-// reporting.
+// Tests for the scan engine run one pair at a time, as the paper's own scans
+// were: a one-measurer ParallelScanner for full coverage of the pair set,
+// cache-driven skipping (§4.6) and progress reporting, and the
+// deterministic per-pair driver for retry-then-report on persistent
+// failures.
 #include <gtest/gtest.h>
 
 #include "scenario/testbed.h"
@@ -24,7 +26,7 @@ TEST(SchedulerTest, ScansAllPairsIntoCache) {
   cfg.samples = 30;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   std::vector<dir::Fingerprint> nodes;
   for (std::size_t i = 0; i < 6; ++i) nodes.push_back(tb.fp(i));
@@ -61,7 +63,7 @@ TEST(SchedulerTest, FreshCacheEntriesAreSkipped) {
   cfg.samples = 20;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   std::vector<dir::Fingerprint> nodes;
   for (std::size_t i = 0; i < 5; ++i) nodes.push_back(tb.fp(i));
@@ -92,7 +94,7 @@ TEST(SchedulerTest, PersistentFailuresAreRetriedAndReported) {
   cfg.samples = 20;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   // A node that is not in the consensus: every circuit through it fails.
   crypto::X25519Key ghost_key;
@@ -102,6 +104,9 @@ TEST(SchedulerTest, PersistentFailuresAreRetriedAndReported) {
   std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), ghost};
   ScanOptions options;
   options.attempts_per_pair = 2;
+  options.reseed_world = [&tb](std::uint64_t seed) {
+    tb.reseed_stochastics(seed);
+  };
   const ScanReport report = scanner.scan(nodes, options);
 
   EXPECT_EQ(report.pairs_total, 3u);
@@ -130,12 +135,12 @@ TEST(SchedulerTest, OrderSeedChangesVisitOrderNotResults) {
   for (std::size_t i = 0; i < 5; ++i) nodes.push_back(tb.fp(i));
 
   RttMatrix cache_a, cache_b;
-  AllPairsScanner scanner_a(measurer, cache_a);
+  ParallelScanner scanner_a({&measurer}, cache_a);
   ScanOptions oa;
   oa.order_seed = 1;
   scanner_a.scan(nodes, oa);
 
-  AllPairsScanner scanner_b(measurer, cache_b);
+  ParallelScanner scanner_b({&measurer}, cache_b);
   ScanOptions ob;
   ob.order_seed = 99;
   scanner_b.scan(nodes, ob);

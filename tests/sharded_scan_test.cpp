@@ -71,7 +71,7 @@ TEST(ShardedScanTest, MatchesNonShardedDeterministicScanner) {
   TingMeasurer measurer(tb.ting(), wo.ting);
   RttMatrix plain;
   ParallelScanner scanner({&measurer}, plain);
-  ParallelScanOptions po;
+  ScanOptions po;
   po.pair_seed = 7;
   po.reseed_world = [&tb](std::uint64_t s) { tb.reseed_stochastics(s); };
   const ScanReport r = scanner.scan(nodes, po);
@@ -238,7 +238,8 @@ TEST(ShardedScanTest, ScanPairsSubsetMatchesFullScanEntries) {
 TEST(ShardedScanTest, ShardExceptionIsRethrownAfterJoin) {
   ShardedScanner scanner([](std::size_t shard) -> std::unique_ptr<ShardWorld> {
     if (shard == 1) throw std::runtime_error("world build failed");
-    return std::make_unique<scenario::TestbedShardWorld>(small_world(41));
+    return std::make_unique<scenario::TestbedShardWorld>(
+        small_world(41), scenario::shard_topology(small_world(41)));
   });
   const std::vector<dir::Fingerprint> nodes =
       scenario::shard_scan_nodes(small_world(41));

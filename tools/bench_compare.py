@@ -5,7 +5,9 @@ Two subcommands, both stdlib-only:
 
   gate-speedup FRESH.json [--min-speedup 2.0] [--min-cpus 4]
       Fail if the fresh run's host had >= --min-cpus CPUs but the sharded
-      engine's wall-clock speedup_4_vs_1 came in under --min-speedup. On a
+      engine's wall-clock speedup came in under --min-speedup. The bench
+      runs three interleaved W=1/W=4 pairs (speedup_runs) and the gate reads
+      their median, since one ~1 s run on a shared host is too noisy. On a
       host with fewer CPUs the gate records the numbers and passes (the
       speedup is core-bound, not engine-bound — the committed baseline was
       produced on a 1-CPU container and reads 0.944).
@@ -22,7 +24,8 @@ Two subcommands, both stdlib-only:
   gate-construct FRESH.json [--min-speedup 5.0]
       Gate over the world-construction leg: fail unless instantiating the
       shard worlds over a shared immutable topology was at least
-      --min-speedup cheaper than the legacy clone-per-shard path. Both
+      --min-speedup cheaper than the legacy clone-per-shard baseline (the
+      bench builds it inline: one topology build per world). Both
       sides measure what workers pay inside the factory call (the
       ScanReport.world_construct_ms quantity); the topology's one-time
       build on the coordinating thread is reported separately, since the
@@ -57,6 +60,7 @@ Exit status: 0 = pass, 1 = gate failed, 2 = unusable input.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -83,10 +87,11 @@ def require(doc, path, *keys):
 def gate_speedup(args):
     doc = load(args.fresh)
     cpus = require(doc, args.fresh, "host_cpus")
-    speedup = require(doc, args.fresh, "speedup_4_vs_1")
+    runs = require(doc, args.fresh, "speedup_runs")
     identical = require(doc, args.fresh, "bit_identical")
-    print(f"sharded scan: host_cpus={cpus} speedup_4_vs_1={speedup} "
-          f"bit_identical={identical}")
+    speedup = statistics.median(runs)
+    print(f"sharded scan: host_cpus={cpus} speedup_runs={runs} "
+          f"median={speedup} bit_identical={identical}")
     if not identical:
         print("FAIL: shard counts disagreed on the merged matrix")
         return 1
@@ -95,10 +100,10 @@ def gate_speedup(args):
               "wall-clock speedup is core-bound on this host")
         return 0
     if speedup < args.min_speedup:
-        print(f"FAIL: {cpus}-CPU host but speedup_4_vs_1={speedup} "
+        print(f"FAIL: {cpus}-CPU host but median speedup={speedup} "
               f"< {args.min_speedup}")
         return 1
-    print(f"PASS: speedup_4_vs_1={speedup} >= {args.min_speedup}")
+    print(f"PASS: median speedup={speedup} >= {args.min_speedup}")
     return 0
 
 

@@ -344,8 +344,7 @@ int cmd_scan(const Args& args) {
     // Sharded engine: W worker threads sharing one immutable topology, each
     // owning only the mutable world half. With --parallel 1 (the default)
     // pairs are measured deterministically — the merged matrix is
-    // bit-identical for any W. --no-share-topology restores the historical
-    // full-clone-per-shard behaviour (same output, slower setup).
+    // bit-identical for any W.
     scenario::ShardWorldOptions swo;
     swo.relays = relays;
     swo.scan_nodes = nodes;
@@ -353,17 +352,13 @@ int cmd_scan(const Args& args) {
     swo.ting = cfg;
     swo.pool = static_cast<std::size_t>(parallel);
     swo.fault_spec = faults;
-    swo.share_topology = args.flag("share-topology", true);
-    // One topology build serves the node list and (when sharing) every
-    // shard world.
+    // One topology build serves the node list and every shard world.
     const scenario::TopologyPtr topology = scenario::shard_topology(swo);
     const std::vector<dir::Fingerprint> subset =
         scenario::shard_scan_nodes(swo, topology);
     open_journal(subset.size());
     meas::ShardedScanner scanner(
-        swo.share_topology
-            ? scenario::make_testbed_shard_factory(swo, topology)
-            : scenario::make_testbed_shard_factory(swo));
+        scenario::make_testbed_shard_factory(swo, topology));
     meas::ShardedScanOptions scan_options;
     scan_options.per_relay_cap = cap;
     scan_options.pair_seed = options.seed;
@@ -388,37 +383,29 @@ int cmd_scan(const Args& args) {
       scenario::apply_fault_spec(spec, world, subset, plan, options.seed);
     }
 
-    meas::ScanOptions common;
-    common.half_cache = half_cache_ptr;
-    common.pipeline_builds = pipeline;
-    common.journal = journal.get();
-    common.stop = &g_stop;
-    common.quarantine = quarantine;
+    // One measurement host per in-flight pair, all driving the same
+    // simulated world; the admission policy caps circuits per target relay.
+    // --parallel 1 is the paper's one-pair-at-a-time scan.
+    std::vector<std::unique_ptr<meas::TingMeasurer>> measurers;
+    std::vector<meas::TingMeasurer*> pool;
+    for (meas::MeasurementHost* host :
+         world.measurement_pool(static_cast<std::size_t>(parallel))) {
+      measurers.push_back(std::make_unique<meas::TingMeasurer>(*host, cfg));
+      pool.push_back(measurers.back().get());
+    }
+    meas::ParallelScanner scanner(pool, matrix);
+    meas::ScanOptions scan_options;
+    scan_options.per_relay_cap = cap;
+    scan_options.half_cache = half_cache_ptr;
+    scan_options.pipeline_builds = pipeline;
+    scan_options.journal = journal.get();
+    scan_options.stop = &g_stop;
+    scan_options.quarantine = quarantine;
     if (!faults.empty()) {
-      common.live_consensus = &world.consensus();
-      common.fault_plan = &plan;
+      scan_options.live_consensus = &world.consensus();
+      scan_options.fault_plan = &plan;
     }
-    if (parallel == 1) {
-      meas::TingMeasurer measurer(world.ting(), cfg);
-      meas::AllPairsScanner scanner(measurer, matrix);
-      report = scanner.scan(subset, common, progress);
-    } else {
-      // One measurement host per in-flight pair, all driving the same
-      // simulated world; the admission policy caps circuits per target
-      // relay.
-      std::vector<std::unique_ptr<meas::TingMeasurer>> measurers;
-      std::vector<meas::TingMeasurer*> pool;
-      for (meas::MeasurementHost* host :
-           world.measurement_pool(static_cast<std::size_t>(parallel))) {
-        measurers.push_back(std::make_unique<meas::TingMeasurer>(*host, cfg));
-        pool.push_back(measurers.back().get());
-      }
-      meas::ParallelScanner scanner(pool, matrix);
-      meas::ParallelScanOptions scan_options;
-      static_cast<meas::ScanOptions&>(scan_options) = common;
-      scan_options.per_relay_cap = cap;
-      report = scanner.scan(subset, scan_options, progress);
-    }
+    report = scanner.scan(subset, scan_options, progress);
   }
   std::fprintf(stderr, "\n");
   matrix.save_csv(out);
@@ -534,7 +521,6 @@ int cmd_daemon(const Args& args) {
   const bool use_half_cache = args.flag("half-cache", !synthetic);
   const bool adaptive = args.flag("adaptive-samples", true);
   const bool use_journal = args.flag("journal", true);
-  const bool incremental = args.flag("incremental", true);
   if (relays < 2 || epochs < 1 || shards < 1 || pool < 1 ||
       epoch_hours <= 0 || ttl_hours <= 0) {
     std::fprintf(stderr, "daemon: bad sizing flags\n");
@@ -581,18 +567,17 @@ int cmd_daemon(const Args& args) {
     dwo.fault_spec = faults;
     dwo.shards = shards;
     dwo.pool = pool;
-    dwo.share_topology = args.flag("share-topology", true);
     auto tenv = std::make_unique<scenario::TestbedDaemonEnvironment>(dwo);
-    std::printf("daemon: %zu persistent shard world(s) built in %.1f ms%s\n",
-                shards, tenv->world_construct_ms(),
-                dwo.share_topology ? " (shared topology)" : "");
+    std::printf("daemon: %zu persistent shard world(s) built in %.1f ms "
+                "(shared topology)\n",
+                shards, tenv->world_construct_ms());
     env = std::move(tenv);
     // Identify the world this store belongs to, so --resume against the
     // wrong testbed or measurement config fails loudly instead of
     // corrupting it. --shards is deliberately absent: deterministic output
     // is shard-count-independent, so a store may resume under a different
-    // thread count. Likewise --journal / --incremental: neither changes
-    // the artifacts (pinned by tests), only crash granularity / plan cost.
+    // thread count. Likewise --journal: it does not change the artifacts
+    // (pinned by tests), only crash granularity.
     std::snprintf(tag, sizeof(tag),
                   "relays=%zu;churn=%.6f;rejoin=%.6f;absent=%.6f;samples=%d;"
                   "adaptive=%d;half=%d;faults=%s",
@@ -611,7 +596,6 @@ int cmd_daemon(const Args& args) {
   opt.seed = seed;
   opt.half_cache = use_half_cache;
   opt.journal = use_journal;
-  opt.incremental_planner = incremental;
   opt.stop = &g_stop;
   opt.engine.quarantine.enabled = args.flag("quarantine", true);
   opt.engine.quarantine.threshold =
@@ -835,7 +819,6 @@ int cmd_serve(const Args& args) {
   opt.seed = seed;
   opt.half_cache = args.flag("half-cache", !synthetic);
   opt.journal = args.flag("journal", true);
-  opt.incremental_planner = args.flag("incremental", true);
   opt.stop = &g_stop;
   opt.config_tag = tag;
 
@@ -1125,8 +1108,10 @@ void usage() {
       "                                                  --parallel K --cap per-relay-circuits\n"
       "                                                  --shards W --faults SPEC\n"
       "                                                  --scenario name|file)\n"
-      "  (--shards W fans the pair list across W threads, each with its own\n"
-      "   world clone; with --parallel 1 output is bit-identical for any W)\n"
+      "  (--parallel K keeps K pairs in flight on one world; K=1 [default] is\n"
+      "   the paper's one-pair-at-a-time scan. --shards W fans the pair list\n"
+      "   across W threads, each with its own world over one shared topology;\n"
+      "   with --parallel 1 output is bit-identical for any W)\n"
       "  (scan optimizations, on by default: --half-cache memoizes R_Cx per\n"
       "   relay and persists it at <out>.halves.csv, --adaptive-samples stops\n"
       "   sampling once the running minimum plateaus, --pipeline prebuilds the\n"
@@ -1175,9 +1160,9 @@ void usage() {
       "   circuit simulation, so daemon logic runs at the paper's full\n"
       "   consensus: ting daemon --synthetic 6000 --budget 500000. Epochs are\n"
       "   planned incrementally in O(churn + expired + budget) rather than by\n"
-      "   an all-pairs census; --no-incremental restores the full census\n"
-      "   [identical plans, pinned by tests], --no-journal trades pair-level\n"
-      "   crash resume for epoch-level to skip per-record fsyncs)\n"
+      "   an all-pairs census [identical plans, pinned by tests]; --no-journal\n"
+      "   trades pair-level crash resume for epoch-level to skip per-record\n"
+      "   fsyncs)\n"
       "  serve     daemon + path-selection serving      (--relays --epochs --budget --churn\n"
       "                                                  --samples --shards --candidates\n"
       "                                                  --out --resume --synthetic [N]\n"
