@@ -18,7 +18,7 @@
 #include "scenario/synthetic_env.h"
 #include "ting/daemon.h"
 #include "ting/delta_scan.h"
-#include "ting/sparse_matrix.h"
+#include "ting/rtt_matrix.h"
 #include "util/rng.h"
 
 namespace {
@@ -121,7 +121,7 @@ int main() {
                     static_cast<std::size_t>(rng.next_u64()));
       fps.push_back(dir::Fingerprint::from_hex(hex));
     }
-    meas::SparseRttMatrix m;
+    meas::RttMatrix m;
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i + 1; j < n; ++j)
         m.set(fps[i], fps[j], 1.0 + static_cast<double>(i + j),
@@ -138,7 +138,7 @@ int main() {
                     .count() /
                 static_cast<double>(hits);
 
-    meas::SparseRttMatrix other;
+    meas::RttMatrix other;
     for (std::size_t i = 0; i < n; ++i)
       other.set(fps[i], fps[(i + 1) % n], 2.0,
                 TimePoint::from_ns(static_cast<std::int64_t>(i + 1)), 1);
@@ -155,7 +155,7 @@ int main() {
   // ---- paper-scale leg -----------------------------------------------------
   // The full-consensus regime (§5.3: ~6,000 relays, ~18M pairs) against the
   // synthetic environment: (1) two budgeted daemon epochs end to end,
-  // (2) a full-mesh SparseRttMatrix fill profiling memory_bytes at 18M
+  // (2) a full-mesh RttMatrix fill profiling memory_bytes at 18M
   // entries, (3) plan_delta vs the primed incremental planner on identical
   // state — the speedup and plan-equality numbers gate-scale enforces.
   const std::size_t sr = scale_relays();
@@ -212,7 +212,7 @@ int main() {
     feed.advance(0);
     const std::vector<dir::Fingerprint> nodes0 = feed.members();
     const TimePoint t1 = TimePoint::from_ns(1000);
-    meas::SparseRttMatrix full;
+    meas::RttMatrix full;
     full.reserve_pairs(nodes0.size() * (nodes0.size() - 1) / 2);
     const auto t_fill = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < nodes0.size(); ++i)

@@ -103,7 +103,7 @@ int main() {
         .count();
   };
 
-  d.on_checkpoint = [&](const meas::SparseRttMatrix& m,
+  d.on_checkpoint = [&](const meas::RttMatrix& m,
                         const std::vector<dir::Fingerprint>&,
                         const std::vector<dir::Fingerprint>& changed,
                         const meas::EpochStats& s) {

@@ -102,8 +102,8 @@ CoverageStats coverage_stats(const dir::Consensus& consensus) {
   return stats;
 }
 
-meas::SparseRttMatrix::CoverageCount pair_coverage(
-    const meas::SparseRttMatrix& matrix,
+meas::RttMatrix::CoverageCount pair_coverage(
+    const meas::RttMatrix& matrix,
     const std::vector<dir::Fingerprint>& nodes, TimePoint now, Duration ttl) {
   return matrix.coverage(nodes, now, ttl);
 }

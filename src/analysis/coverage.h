@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "dir/consensus.h"
-#include "ting/sparse_matrix.h"
+#include "ting/rtt_matrix.h"
 
 namespace ting::analysis {
 
@@ -44,8 +44,8 @@ CoverageStats coverage_stats(const dir::Consensus& consensus);
 /// consensus's unordered pairs does `matrix` hold fresh (within `ttl` of
 /// `now`)? The daemon's convergence criterion and the analysis-side view of
 /// a daemon store's health.
-meas::SparseRttMatrix::CoverageCount pair_coverage(
-    const meas::SparseRttMatrix& matrix,
+meas::RttMatrix::CoverageCount pair_coverage(
+    const meas::RttMatrix& matrix,
     const std::vector<dir::Fingerprint>& nodes, TimePoint now, Duration ttl);
 
 }  // namespace ting::analysis

@@ -155,10 +155,10 @@ struct Episode {
     return true;
   }
 
-  /// Algorithm 1's score for candidate i (smaller = probe sooner).
-  double score(std::size_t i) const {
+  /// Algorithm 1's score for candidate i (smaller = probe sooner); `mu` is
+  /// the matrix's mean RTT.
+  double score(std::size_t i, double mu) const {
     double best = std::numeric_limits<double>::infinity();
-    const double mu = world.mean_rtt();
     for (std::size_t other : alive) {
       if (other == i) continue;
       for (const auto& [e, m] : {std::pair<std::size_t, std::size_t>{i, other},
@@ -209,6 +209,9 @@ DeanonResult deanonymize_with_probe(const DeanonWorld& world,
     rng.shuffle(order);
   }
 
+  // µ is fixed for the episode and costs a full pass over the matrix, so
+  // take it once instead of per scored candidate.
+  const double mu = strategy == Strategy::kInformed ? world.mean_rtt() : 0;
   std::set<std::size_t> probed;
   auto next_target = [&]() -> std::optional<std::size_t> {
     if (strategy == Strategy::kInformed) {
@@ -218,7 +221,7 @@ DeanonResult deanonymize_with_probe(const DeanonWorld& world,
       for (std::size_t i : ep.alive) {
         if (probed.contains(i)) continue;
         if (!fallback.has_value()) fallback = i;
-        const double s = ep.score(i);
+        const double s = ep.score(i, mu);
         if (s < best_score) {
           best_score = s;
           best = i;

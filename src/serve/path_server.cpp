@@ -126,21 +126,10 @@ void PathServer::publish(MatrixSnapshot snapshot,
   publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PathServer::publish(const meas::SparseRttMatrix& matrix,
-                         std::uint64_t epoch, TimePoint stamp,
-                         const std::vector<dir::Fingerprint>& changed) {
-  const SnapshotStorage storage = options_.float32_snapshot
-                                      ? SnapshotStorage::kFloat32
-                                      : SnapshotStorage::kFloat64;
-  publish(MatrixSnapshot::build(matrix, epoch, stamp, storage), changed);
-}
-
 void PathServer::publish(const meas::RttMatrix& matrix, std::uint64_t epoch,
-                         TimePoint stamp) {
-  const SnapshotStorage storage = options_.float32_snapshot
-                                      ? SnapshotStorage::kFloat32
-                                      : SnapshotStorage::kFloat64;
-  publish(MatrixSnapshot::build(matrix, epoch, stamp, storage));
+                         TimePoint stamp,
+                         const std::vector<dir::Fingerprint>& changed) {
+  publish(MatrixSnapshot::build(matrix, epoch, stamp), changed);
 }
 
 std::optional<double> PathServer::rtt(const dir::Fingerprint& a,

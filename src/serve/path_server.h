@@ -34,7 +34,6 @@
 #include "serve/detour_index.h"
 #include "serve/snapshot.h"
 #include "ting/rtt_matrix.h"
-#include "ting/sparse_matrix.h"
 #include "util/time.h"
 
 namespace ting::serve {
@@ -52,10 +51,6 @@ struct ServeOptions {
   /// stays below this fraction of the snapshot; above it a full O(n³)
   /// rebuild is cheaper than |changed|·n² patching.
   double full_rebuild_fraction = 0.5;
-  /// Build published snapshots in float32 storage, halving the dense RTT
-  /// image (288 MB → 144 MB at 6,000 relays; see SnapshotStorage). Off by
-  /// default: float64 round-trips the store bit-exactly.
-  bool float32_snapshot = false;
 };
 
 /// One sampled circuit, as node indices into the owning snapshot.
@@ -98,11 +93,10 @@ class PathServer {
   /// of rebuilt. Pass empty to force a full rebuild.
   void publish(MatrixSnapshot snapshot,
                const std::vector<dir::Fingerprint>& changed = {});
-  void publish(const meas::SparseRttMatrix& matrix, std::uint64_t epoch = 0,
+  /// Snapshot `matrix` (see MatrixSnapshot::build) and publish it.
+  void publish(const meas::RttMatrix& matrix, std::uint64_t epoch = 0,
                TimePoint stamp = {},
                const std::vector<dir::Fingerprint>& changed = {});
-  void publish(const meas::RttMatrix& matrix, std::uint64_t epoch = 0,
-               TimePoint stamp = {});
 
   // ---- reader side (all lock-free: one atomic load, then plain reads) ------
 

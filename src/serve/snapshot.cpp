@@ -5,55 +5,25 @@
 namespace ting::serve {
 
 void MatrixSnapshot::index_nodes(std::vector<dir::Fingerprint> nodes) {
-  nodes_ = std::move(nodes);  // both matrix types return sorted node lists
+  nodes_ = std::move(nodes);  // RttMatrix::nodes() is sorted
   index_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     index_.emplace(nodes_[i], static_cast<std::uint32_t>(i));
-  // Exactly one flat array is ever populated; the other stays empty.
-  if (storage_ == SnapshotStorage::kFloat32)
-    rtt32_.assign(nodes_.size() * nodes_.size(),
-                  std::numeric_limits<float>::quiet_NaN());
-  else
-    rtt_.assign(nodes_.size() * nodes_.size(),
-                std::numeric_limits<double>::quiet_NaN());
+  rtt_.assign(nodes_.size() * nodes_.size(),
+              std::numeric_limits<double>::quiet_NaN());
 }
 
 void MatrixSnapshot::set_pair(std::size_t i, std::size_t j, double rtt_ms) {
-  const std::size_t ij = i * nodes_.size() + j;
-  const std::size_t ji = j * nodes_.size() + i;
-  if (storage_ == SnapshotStorage::kFloat32) {
-    const float narrow = static_cast<float>(rtt_ms);
-    rtt32_[ij] = narrow;
-    rtt32_[ji] = narrow;
-  } else {
-    rtt_[ij] = rtt_ms;
-    rtt_[ji] = rtt_ms;
-  }
+  rtt_[i * nodes_.size() + j] = rtt_ms;
+  rtt_[j * nodes_.size() + i] = rtt_ms;
   ++pair_count_;
 }
 
 MatrixSnapshot MatrixSnapshot::build(const meas::RttMatrix& matrix,
-                                     std::uint64_t epoch, TimePoint stamp,
-                                     SnapshotStorage storage) {
+                                     std::uint64_t epoch, TimePoint stamp) {
   MatrixSnapshot s;
   s.epoch_ = epoch;
   s.stamp_ = stamp;
-  s.storage_ = storage;
-  s.index_nodes(matrix.nodes());
-  for (std::size_t i = 0; i < s.nodes_.size(); ++i)
-    for (std::size_t j = i + 1; j < s.nodes_.size(); ++j)
-      if (const auto r = matrix.rtt(s.nodes_[i], s.nodes_[j]); r.has_value())
-        s.set_pair(i, j, *r);
-  return s;
-}
-
-MatrixSnapshot MatrixSnapshot::build(const meas::SparseRttMatrix& matrix,
-                                     std::uint64_t epoch, TimePoint stamp,
-                                     SnapshotStorage storage) {
-  MatrixSnapshot s;
-  s.epoch_ = epoch;
-  s.stamp_ = stamp;
-  s.storage_ = storage;
   s.index_nodes(matrix.nodes());
   for (std::size_t i = 0; i < s.nodes_.size(); ++i)
     for (std::size_t j = i + 1; j < s.nodes_.size(); ++j)
@@ -64,10 +34,9 @@ MatrixSnapshot MatrixSnapshot::build(const meas::SparseRttMatrix& matrix,
 
 std::size_t MatrixSnapshot::memory_bytes() const {
   std::size_t bytes = rtt_.capacity() * sizeof(double) +
-                      rtt32_.capacity() * sizeof(float) +
                       nodes_.capacity() * sizeof(dir::Fingerprint);
-  // Hash-map estimate mirrors SparseRttMatrix::memory_bytes: per-node
-  // payload + two list pointers, plus the bucket array.
+  // Hash-map estimate mirrors RttMatrix::memory_bytes: per-node payload +
+  // two list pointers, plus the bucket array.
   bytes += index_.size() *
            (sizeof(std::pair<const dir::Fingerprint, std::uint32_t>) +
             2 * sizeof(void*));

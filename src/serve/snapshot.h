@@ -2,15 +2,14 @@
 // matrix, built for the serving layer (§5's applications: low-RTT circuit
 // selection, TIV detours) rather than for measurement bookkeeping.
 //
-// The measurement stores (RttMatrix's ordered map, SparseRttMatrix's hash
-// map) are write-side structures: node-keyed, mutable, and growing while a
-// scan runs. A query path serving "millions of clients picking circuits"
-// wants the opposite: a dense fingerprint→index table fixed at build time
-// plus a flat n×n RTT array, so every lookup is one hash probe (or none,
-// for index-based callers) and one array read — no tree walk, no pair-key
-// construction, no lock.
+// The measurement store (RttMatrix's hash-indexed pairs) is a write-side
+// structure: node-keyed, mutable, and growing while a scan runs. A query
+// path serving "millions of clients picking circuits" wants the opposite: a
+// dense fingerprint→index table fixed at build time plus a flat n×n RTT
+// array, so every lookup is one hash probe (or none, for index-based
+// callers) and one array read — no pair-key construction, no lock.
 //
-// Snapshots are built once (O(n²)) from either matrix type, then never
+// Snapshots are built once (O(n²)) from the store, then never
 // mutated; PathServer publishes them through an atomic shared_ptr swap so
 // readers always see a complete, internally consistent image. Missing pairs
 // are quiet NaNs in the flat array — a partially-converged daemon store is
@@ -27,31 +26,20 @@
 
 #include "dir/fingerprint.h"
 #include "ting/rtt_matrix.h"
-#include "ting/sparse_matrix.h"
 #include "util/time.h"
 
 namespace ting::serve {
-
-/// Storage precision of the flat RTT array. kFloat32 halves the dense image
-/// (288 MB → 144 MB at 6,000 relays) at ≤6e-8 relative rounding error —
-/// orders of magnitude below measurement noise, and NaN-coding survives the
-/// float↔double conversion. Opt-in (default float64) because the wide mode
-/// round-trips the stores' doubles bit-exactly.
-enum class SnapshotStorage : std::uint8_t { kFloat64, kFloat32 };
 
 class MatrixSnapshot {
  public:
   MatrixSnapshot() = default;
 
-  /// Build from a finished scan's dense matrix or a daemon's sparse store.
-  /// `epoch`/`stamp` identify which checkpoint this image reflects (readers
-  /// use them to reason about staleness; see PROTOCOL.md).
+  /// Build from a finished scan's matrix or a daemon's store. `epoch`/
+  /// `stamp` identify which checkpoint this image reflects (readers use
+  /// them to reason about staleness; see PROTOCOL.md). RTTs are copied
+  /// bit-exactly.
   static MatrixSnapshot build(const meas::RttMatrix& matrix,
-                              std::uint64_t epoch = 0, TimePoint stamp = {},
-                              SnapshotStorage storage = SnapshotStorage::kFloat64);
-  static MatrixSnapshot build(const meas::SparseRttMatrix& matrix,
-                              std::uint64_t epoch = 0, TimePoint stamp = {},
-                              SnapshotStorage storage = SnapshotStorage::kFloat64);
+                              std::uint64_t epoch = 0, TimePoint stamp = {});
 
   std::size_t node_count() const { return nodes_.size(); }
   /// All relays in the snapshot, sorted by fingerprint (index order).
@@ -67,13 +55,8 @@ class MatrixSnapshot {
 
   /// The query hot path: one array read, NaN when the pair is unmeasured
   /// (and on the diagonal — a relay has no RTT to itself worth serving).
-  /// Float32 images widen on read (NaN propagates), so every consumer —
-  /// DetourIndex, neighbor lists, band tables — is storage-agnostic.
   double rtt_raw(std::size_t i, std::size_t j) const {
-    const std::size_t idx = i * nodes_.size() + j;
-    return storage_ == SnapshotStorage::kFloat32
-               ? static_cast<double>(rtt32_[idx])
-               : rtt_[idx];
+    return rtt_[i * nodes_.size() + j];
   }
   bool has(std::size_t i, std::size_t j) const {
     return !std::isnan(rtt_raw(i, j));
@@ -97,9 +80,7 @@ class MatrixSnapshot {
 
   std::uint64_t epoch() const { return epoch_; }
   TimePoint stamp() const { return stamp_; }
-  SnapshotStorage storage() const { return storage_; }
-  /// Heap bytes of the flat RTT array plus the fingerprint index — the
-  /// number the float32 mode halves (modulo the index).
+  /// Heap bytes of the flat RTT array plus the fingerprint index.
   std::size_t memory_bytes() const;
 
  private:
@@ -108,9 +89,7 @@ class MatrixSnapshot {
 
   std::vector<dir::Fingerprint> nodes_;  ///< sorted; index order
   std::unordered_map<dir::Fingerprint, std::uint32_t> index_;
-  SnapshotStorage storage_ = SnapshotStorage::kFloat64;
-  std::vector<double> rtt_;   ///< n×n, symmetric, NaN = unmeasured (float64)
-  std::vector<float> rtt32_;  ///< same image in float32 mode
+  std::vector<double> rtt_;  ///< n×n, symmetric, NaN = unmeasured
   std::size_t pair_count_ = 0;
   std::uint64_t epoch_ = 0;
   TimePoint stamp_;

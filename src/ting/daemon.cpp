@@ -124,7 +124,7 @@ DaemonReport ScanDaemon::run(const EpochCallback& on_epoch,
                                      "configuration (state file disagrees)");
     start_epoch = st.next_epoch;
     if (file_exists(options_.out))
-      matrix_ = SparseRttMatrix::load_bin(options_.out);
+      matrix_ = RttMatrix::load_bin(options_.out);
     if (options_.half_cache && file_exists(halves_path(options_.out)))
       half_cache_ = HalfCircuitCache::load_bin(halves_path(options_.out));
   } else {

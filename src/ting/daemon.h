@@ -12,7 +12,7 @@
 //   3. runs the worklist through the environment's scan engine in
 //      deterministic mode with a per-epoch pair seed, journaling every
 //      result as it lands (scan_journal.h),
-//   4. folds the epoch's results into the persistent SparseRttMatrix,
+//   4. folds the epoch's results into the persistent RttMatrix,
 //      stamped with the epoch clock, and atomically checkpoints the matrix,
 //      the half-circuit cache, and the daemon state file.
 //
@@ -41,8 +41,8 @@
 #include "dir/fingerprint.h"
 #include "ting/delta_scan.h"
 #include "ting/half_circuit_cache.h"
+#include "ting/rtt_matrix.h"
 #include "ting/scheduler.h"
-#include "ting/sparse_matrix.h"
 #include "util/time.h"
 
 namespace ting::meas {
@@ -85,7 +85,7 @@ class DaemonEnvironment {
 /// std::function keeps ting_core free of serving dependencies.
 struct EpochStats;
 using CheckpointHook = std::function<void(
-    const SparseRttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
+    const RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
     const std::vector<dir::Fingerprint>& changed, const EpochStats& stats)>;
 
 struct DaemonOptions {
@@ -101,7 +101,7 @@ struct DaemonOptions {
   /// Coverage the run is judged against (fresh pairs / current pairs).
   double coverage_target = 0.99;
 
-  /// Persistent sparse matrix path (binary format; required). The state
+  /// Persistent matrix path (binary format; required). The state
   /// file lives at out + ".state", the journal at out + ".journal", the
   /// half-cache checkpoint at out + ".halves".
   std::string out;
@@ -143,7 +143,7 @@ struct EpochStats {
   /// Pairs recovered from the journal when this epoch resumed a crash.
   std::size_t journal_recovered = 0;
   /// Post-epoch freshness census over the current consensus.
-  SparseRttMatrix::CoverageCount coverage;
+  RttMatrix::CoverageCount coverage;
   /// Persistent store size after this epoch's absorb (pairs + estimated
   /// heap bytes) — the per-epoch memory trajectory at 18M-entry scale.
   std::size_t matrix_pairs = 0;
@@ -174,7 +174,7 @@ class ScanDaemon {
   DaemonReport run(const EpochCallback& on_epoch = {},
                    const ScanProgress& progress = {});
 
-  const SparseRttMatrix& matrix() const { return matrix_; }
+  const RttMatrix& matrix() const { return matrix_; }
 
   /// The per-epoch engine pair seed: a well-mixed function of the master
   /// seed and the epoch number, so every epoch's estimates are independent
@@ -209,7 +209,7 @@ class ScanDaemon {
 
   DaemonEnvironment& env_;
   DaemonOptions options_;
-  SparseRttMatrix matrix_;
+  RttMatrix matrix_;
   HalfCircuitCache half_cache_;
   /// Carries the missing-pair backlog across epochs; unprimed at process
   /// start, so the first epoch (fresh or resumed) runs one full census.

@@ -289,7 +289,13 @@ std::size_t ScanJournal::ok_pairs() const {
 
 void ScanJournal::restore(RttMatrix& matrix, HalfCircuitCache* halves) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  matrix.merge(mirror_matrix_);
+  // Journaled results overwrite: a resumed scan takes what the journal
+  // recorded, whatever stamps the seed matrix carries.
+  mirror_matrix_.for_each(
+      [&matrix](const dir::Fingerprint& a, const dir::Fingerprint& b,
+                const RttMatrix::Entry& e) {
+        matrix.set(a, b, e.rtt_ms, e.measured_at, e.samples);
+      });
   if (halves != nullptr) halves->merge_freshest(mirror_halves_);
 }
 

@@ -180,7 +180,16 @@ ScanReport ShardedScanner::scan_pairs(const std::vector<dir::Fingerprint>& nodes
   std::stable_sort(merged.fault_events.begin(), merged.fault_events.end(),
                    [](const simnet::FaultPlan::Event& a,
                       const simnet::FaultPlan::Event& b) { return a.at < b.at; });
-  for (const ShardResult& r : results) out.merge(r.matrix);
+  // Copy back only each shard's own slice: every shard started from a copy
+  // of `out`, so its other entries are stale seeds, and replaying them would
+  // overwrite what another shard just remeasured.
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (const auto& [i, j] : slices[s]) {
+      const RttMatrix::Entry* e = results[s].matrix.entry(nodes[i], nodes[j]);
+      if (e != nullptr)
+        out.set(nodes[i], nodes[j], e->rtt_ms, e->measured_at, e->samples);
+    }
+  }
   if (options.half_cache != nullptr)
     for (const ShardResult& r : results)
       options.half_cache->merge_freshest(r.half_cache);

@@ -2,8 +2,8 @@
 // is partitioned round-robin across W worker threads; each worker owns a
 // complete, independent simulation world (its own event loop, network,
 // testbed clone, and measurement pool) built by a ShardWorldFactory, runs a
-// ParallelScanner over its slice, and the per-shard ScanReports and
-// RttMatrix fragments are merged after the threads join.
+// ParallelScanner over its slice, and the per-shard ScanReports and each
+// shard's results for its own slice are merged after the threads join.
 //
 // Threads never share mutable state: every world lives entirely on the
 // thread that built it, and merging happens after join. That is what makes

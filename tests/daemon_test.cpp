@@ -12,7 +12,7 @@
 #include "scenario/synthetic_env.h"
 #include "ting/daemon.h"
 #include "ting/delta_scan.h"
-#include "ting/sparse_matrix.h"
+#include "ting/rtt_matrix.h"
 #include "util/assert.h"
 
 namespace ting::meas {
@@ -208,14 +208,14 @@ class PlannerOracle {
  public:
   /// `store` is what the daemon starts from: empty for a fresh run, the
   /// on-disk store for a --resume.
-  explicit PlannerOracle(SparseRttMatrix store = {})
+  explicit PlannerOracle(RttMatrix store = {})
       : prev_(std::move(store)) {}
 
   /// Install the check as `d`'s checkpoint hook.
   void attach(DaemonOptions& d) {
     d.on_checkpoint = [this, interval = d.epoch_interval,
                        plan_opts = DeltaPlanOptions{d.ttl, d.budget}](
-                          const SparseRttMatrix& matrix,
+                          const RttMatrix& matrix,
                           const std::vector<dir::Fingerprint>& nodes,
                           const std::vector<dir::Fingerprint>&,
                           const EpochStats& stats) {
@@ -238,7 +238,7 @@ class PlannerOracle {
   std::size_t epochs_checked() const { return epochs_checked_; }
 
  private:
-  SparseRttMatrix prev_;
+  RttMatrix prev_;
   std::size_t epochs_checked_ = 0;
 };
 
@@ -282,7 +282,7 @@ TEST(ScanDaemonTest, PlannerMatchesFullCensusEpochByEpoch) {
     scenario::TestbedDaemonEnvironment env(small_world(61, churn));
     DaemonOptions opts = daemon_opts(cut_out, 3);
     opts.resume = true;
-    PlannerOracle oracle(SparseRttMatrix::load_bin(cut_out));
+    PlannerOracle oracle(RttMatrix::load_bin(cut_out));
     oracle.attach(opts);
     ScanDaemon daemon(env, opts);
     EXPECT_FALSE(daemon.run().interrupted);

@@ -1,18 +1,19 @@
-// Tests for the serving layer: snapshot fidelity against both matrix
-// stores, detour-index correctness (full build, incremental update, and the
+// Tests for the serving layer: snapshot fidelity against the matrix store
+// and its binary image, detour-index correctness (full build, incremental update, and the
 // counters the TIV statistics come from), PathServer query semantics, and
 // the lock-free publish/read contract under concurrency (the TSan leg).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 
 #include "serve/detour_index.h"
 #include "serve/path_server.h"
 #include "serve/snapshot.h"
 #include "ting/rtt_matrix.h"
-#include "ting/sparse_matrix.h"
 #include "util/rng.h"
 
 namespace ting::serve {
@@ -65,11 +66,13 @@ TEST(SnapshotTest, MirrorsDenseMatrix) {
 }
 
 TEST(SnapshotTest, SparseAndDenseBuildsAgree) {
+  // The daemon hands PathServer its store as loaded from the TINGSMX1
+  // binary; a snapshot of that must equal one of the in-memory scan matrix
+  // bit for bit, holes included.
   World w(12, 2, /*missing_fraction=*/0.3);
-  const meas::SparseRttMatrix sparse =
-      meas::SparseRttMatrix::from_rtt_matrix(w.matrix);
+  const meas::RttMatrix loaded = meas::RttMatrix::from_bin(w.matrix.to_bin());
   const MatrixSnapshot from_dense = MatrixSnapshot::build(w.matrix);
-  const MatrixSnapshot from_sparse = MatrixSnapshot::build(sparse);
+  const MatrixSnapshot from_sparse = MatrixSnapshot::build(loaded);
   ASSERT_EQ(from_dense.node_count(), from_sparse.node_count());
   EXPECT_EQ(from_dense.pair_count(), from_sparse.pair_count());
   EXPECT_LT(from_dense.coverage(), 1.0);
@@ -79,80 +82,10 @@ TEST(SnapshotTest, SparseAndDenseBuildsAgree) {
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(from_dense.has(i, j), from_sparse.has(i, j));
       if (from_dense.has(i, j)) {
-        EXPECT_DOUBLE_EQ(from_dense.rtt_raw(i, j), from_sparse.rtt_raw(i, j));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(from_dense.rtt_raw(i, j)),
+                  std::bit_cast<std::uint64_t>(from_sparse.rtt_raw(i, j)));
       }
     }
-  }
-}
-
-TEST(SnapshotTest, Float32StorageMatchesFloat64Queries) {
-  World w(20, 14, /*missing_fraction=*/0.3);
-  const MatrixSnapshot wide = MatrixSnapshot::build(w.matrix, 2);
-  const MatrixSnapshot narrow = MatrixSnapshot::build(
-      w.matrix, 2, TimePoint{}, SnapshotStorage::kFloat32);
-  EXPECT_EQ(wide.storage(), SnapshotStorage::kFloat64);
-  EXPECT_EQ(narrow.storage(), SnapshotStorage::kFloat32);
-  ASSERT_EQ(narrow.node_count(), wide.node_count());
-  EXPECT_EQ(narrow.pair_count(), wide.pair_count());
-  EXPECT_DOUBLE_EQ(narrow.coverage(), wide.coverage());
-  const std::size_t n = wide.node_count();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      // Presence (NaN coding) survives the narrowing exactly; values agree
-      // to float32 rounding — ≤6e-8 relative, far below measurement noise.
-      ASSERT_EQ(narrow.has(i, j), wide.has(i, j));
-      if (!wide.has(i, j)) continue;
-      const double a = wide.rtt_raw(i, j), b = narrow.rtt_raw(i, j);
-      EXPECT_NEAR(b, a, std::abs(a) * 1e-6);
-    }
-  // Path sums stay within the same tolerance.
-  for (std::size_t a = 0; a + 2 < n; ++a) {
-    const std::vector<std::size_t> path{a, a + 1, a + 2};
-    const auto pw = wide.path_rtt_ms(path);
-    const auto pn = narrow.path_rtt_ms(path);
-    ASSERT_EQ(pw.has_value(), pn.has_value());
-    if (pw.has_value()) {
-      EXPECT_NEAR(*pn, *pw, std::abs(*pw) * 1e-6);
-    }
-  }
-}
-
-TEST(SnapshotTest, Float32StorageHalvesTheArray) {
-  World w(64, 15);
-  const MatrixSnapshot wide = MatrixSnapshot::build(w.matrix);
-  const MatrixSnapshot narrow = MatrixSnapshot::build(
-      w.matrix, 0, TimePoint{}, SnapshotStorage::kFloat32);
-  // The n×n array dominates the footprint; the fingerprint index is shared
-  // overhead, so the ratio lands between 0.5 and ~0.75.
-  EXPECT_LT(narrow.memory_bytes(), wide.memory_bytes() * 3 / 4);
-  EXPECT_GE(narrow.memory_bytes(), wide.memory_bytes() / 2);
-}
-
-TEST(PathServerTest, Float32PublishServesParityQueries) {
-  World w(16, 17, /*missing_fraction=*/0.2);
-  ServeOptions so;
-  so.float32_snapshot = true;
-  PathServer narrow(so), wide;
-  narrow.publish(w.matrix);
-  wide.publish(w.matrix);
-  ASSERT_TRUE(narrow.ready());
-  EXPECT_EQ(narrow.state()->snapshot.storage(), SnapshotStorage::kFloat32);
-  EXPECT_EQ(wide.state()->snapshot.storage(), SnapshotStorage::kFloat64);
-  for (std::size_t i = 0; i < w.fps.size(); ++i)
-    for (std::size_t j = i + 1; j < w.fps.size(); ++j) {
-      const auto a = wide.rtt(w.fps[i], w.fps[j]);
-      const auto b = narrow.rtt(w.fps[i], w.fps[j]);
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a.has_value()) {
-        EXPECT_NEAR(*b, *a, std::abs(*a) * 1e-6);
-      }
-    }
-  const auto cw = wide.fastest_through(w.fps[5], 4);
-  const auto cn = narrow.fastest_through(w.fps[5], 4);
-  ASSERT_EQ(cw.size(), cn.size());
-  for (std::size_t k = 0; k < cw.size(); ++k) {
-    EXPECT_EQ(cw[k].relays, cn[k].relays);
-    EXPECT_NEAR(cn[k].rtt_ms, cw[k].rtt_ms, cw[k].rtt_ms * 1e-6);
   }
 }
 
@@ -243,16 +176,6 @@ TEST(DetourIndexTest, FullBuildMatchesBruteForceSparse) {
   const DetourIndex index = DetourIndex::build(snap);
   expect_index_matches_brute(snap, index);
   EXPECT_LT(index.measured_pairs(), 18u * 17 / 2);
-}
-
-TEST(DetourIndexTest, Float32SnapshotYieldsSameDetourStructure) {
-  // The detour index built over a float32 image must find the same via
-  // relays and the same TIV set — rounding at 1e-8 relative cannot flip a
-  // comparison unless two detour sums were equal to within noise anyway.
-  World w(18, 16, /*missing_fraction=*/0.2);
-  const MatrixSnapshot narrow = MatrixSnapshot::build(
-      w.matrix, 0, TimePoint{}, SnapshotStorage::kFloat32);
-  expect_index_matches_brute(narrow, DetourIndex::build(narrow));
 }
 
 TEST(DetourIndexTest, IncrementalUpdateEqualsRebuild) {

@@ -235,6 +235,33 @@ TEST(ShardedScanTest, ScanPairsSubsetMatchesFullScanEntries) {
   }
 }
 
+TEST(ShardedScanTest, StaleSeedsAreRemeasuredAtEveryShardCount) {
+  // Every shard starts from a copy of the caller's matrix. Only each
+  // shard's own slice may flow back: a later shard's stale copy of a pair
+  // must never overwrite what the shard owning that pair just remeasured.
+  const scenario::ShardWorldOptions wo = small_world(41);
+  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  std::string reference;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    RttMatrix m;
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      for (std::size_t j = i + 1; j < nodes.size(); ++j)
+        m.set(nodes[i], nodes[j], 999.0);
+    ShardedScanOptions so = sharded(shards, 7);
+    so.max_age = Duration{};  // every seeded entry is stale
+    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
+    const ScanReport r = scanner.scan(nodes, m, so);
+    EXPECT_EQ(r.measured, 28u) << "W=" << shards;
+    EXPECT_EQ(r.from_cache, 0u) << "W=" << shards;
+    ASSERT_EQ(m.size(), 28u) << "W=" << shards;
+    std::size_t stale = 0;
+    for (const double v : m.values()) stale += v == 999.0 ? 1 : 0;
+    EXPECT_EQ(stale, 0u) << "W=" << shards;
+    if (reference.empty()) reference = m.to_csv();
+    EXPECT_EQ(m.to_csv(), reference) << "W=" << shards;
+  }
+}
+
 TEST(ShardedScanTest, ShardExceptionIsRethrownAfterJoin) {
   ShardedScanner scanner([](std::size_t shard) -> std::unique_ptr<ShardWorld> {
     if (shard == 1) throw std::runtime_error("world build failed");

@@ -1,6 +1,6 @@
 // Tests for the Ting core: the Eq. (4) identity against simulator ground
 // truth, sample-size behaviour, the strawman's failure on protocol-
-// differential networks, forwarding-delay estimation, and the RTT matrix.
+// differential networks, and forwarding-delay estimation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "scenario/testbed.h"
 #include "ting/forwarding_delay.h"
 #include "ting/measurer.h"
-#include "ting/rtt_matrix.h"
 
 namespace ting::meas {
 namespace {
@@ -200,94 +199,6 @@ TEST(ForwardingDelayTest, NegativeEstimateOnIcmpPenalisedNetwork) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_LT(r.icmp_based_ms, -5.0);          // the Fig 5 anomaly
   EXPECT_GT(r.tcp_based_ms, -1.0);           // TCP probe unaffected here
-}
-
-// ------------------------------------------------------------------ matrix
-
-dir::Fingerprint fake_fp(std::uint8_t b) {
-  crypto::X25519Key k;
-  k.fill(b);
-  return dir::Fingerprint::of_identity(k);
-}
-
-TEST(RttMatrixTest, SymmetricSetGet) {
-  RttMatrix m;
-  m.set(fake_fp(1), fake_fp(2), 42.5);
-  EXPECT_EQ(m.rtt(fake_fp(1), fake_fp(2)), 42.5);
-  EXPECT_EQ(m.rtt(fake_fp(2), fake_fp(1)), 42.5);
-  EXPECT_FALSE(m.rtt(fake_fp(1), fake_fp(3)).has_value());
-  EXPECT_TRUE(m.contains(fake_fp(2), fake_fp(1)));
-  EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(RttMatrixTest, RejectsSelfPairs) {
-  RttMatrix m;
-  EXPECT_THROW(m.set(fake_fp(1), fake_fp(1), 1.0), CheckError);
-}
-
-TEST(RttMatrixTest, OverwriteAndStats) {
-  RttMatrix m;
-  m.set(fake_fp(1), fake_fp(2), 10.0);
-  m.set(fake_fp(2), fake_fp(1), 20.0);  // overwrite, symmetric key
-  m.set(fake_fp(1), fake_fp(3), 40.0);
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.mean_rtt(), 30.0);
-  EXPECT_EQ(m.nodes().size(), 3u);
-  EXPECT_EQ(m.values().size(), 2u);
-}
-
-TEST(RttMatrixTest, FreshnessWindow) {
-  RttMatrix m;
-  const TimePoint t0 = TimePoint::from_ns(0);
-  m.set(fake_fp(1), fake_fp(2), 5.0, t0 + Duration::seconds(100), 10);
-  EXPECT_TRUE(m.is_fresh(fake_fp(1), fake_fp(2),
-                         t0 + Duration::seconds(150), Duration::seconds(60)));
-  EXPECT_FALSE(m.is_fresh(fake_fp(1), fake_fp(2),
-                          t0 + Duration::seconds(200), Duration::seconds(60)));
-  EXPECT_FALSE(m.is_fresh(fake_fp(1), fake_fp(3), t0, Duration::seconds(60)));
-}
-
-TEST(RttMatrixTest, CsvRoundTrip) {
-  RttMatrix m;
-  m.set(fake_fp(1), fake_fp(2), 12.25, TimePoint::from_ns(777), 200);
-  m.set(fake_fp(3), fake_fp(4), 99.5, TimePoint::from_ns(888), 100);
-  const RttMatrix n = RttMatrix::from_csv(m.to_csv());
-  EXPECT_EQ(n.size(), 2u);
-  EXPECT_EQ(n.rtt(fake_fp(2), fake_fp(1)), 12.25);
-  const auto* e = n.entry(fake_fp(3), fake_fp(4));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->measured_at.ns(), 888);
-  EXPECT_EQ(e->samples, 100);
-}
-
-TEST(RttMatrixTest, CsvRejectsGarbage) {
-  EXPECT_THROW(RttMatrix::from_csv("header\nnot,enough"), CheckError);
-}
-
-TEST(RttMatrixTest, CsvRejectsCorruptNumericFields) {
-  const std::string a = fake_fp(1).hex(), b = fake_fp(2).hex();
-  const std::string header = "fp_a,fp_b,rtt_ms,measured_at_ns,samples\n";
-  // Non-numeric rtt: stod would throw std::invalid_argument; we want a
-  // CheckError naming the row instead.
-  EXPECT_THROW(RttMatrix::from_csv(header + a + "," + b + ",oops,777,200"),
-               CheckError);
-  // Trailing garbage after a valid prefix ("12.5x") must also be rejected.
-  EXPECT_THROW(RttMatrix::from_csv(header + a + "," + b + ",12.5x,777,200"),
-               CheckError);
-  // Out-of-range timestamp (std::out_of_range from stoll).
-  EXPECT_THROW(RttMatrix::from_csv(header + a + "," + b +
-                                   ",12.5,99999999999999999999999999,200"),
-               CheckError);
-  // Non-numeric sample count.
-  EXPECT_THROW(RttMatrix::from_csv(header + a + "," + b + ",12.5,777,many"),
-               CheckError);
-  // The error message should carry the offending line for debugging.
-  try {
-    RttMatrix::from_csv(header + a + "," + b + ",oops,777,200");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("oops"), std::string::npos);
-  }
 }
 
 }  // namespace

@@ -123,14 +123,17 @@ scenario::DaemonWorldOptions faulted_daemon_world(std::size_t shards) {
 }
 
 TEST(TopologyParityTest, DaemonDeltaEpochMatchesLegacyClones) {
-  // Two epochs: epoch 0 measures the full mesh, epoch 1 only the churn
-  // delta — the persistent worlds carry half-warm state across the
-  // boundary, which is exactly where a construction-path divergence would
-  // surface.
+  // Three epochs under churn seed 55: epoch 0 measures the 9 relays
+  // present, and epochs 1 and 2 measure only the pairs of relays that
+  // joined since — delta scans over persistent worlds that carry half-warm
+  // state across epoch boundaries, which is exactly where a
+  // construction-path divergence would surface.
   const std::string out = ::testing::TempDir() + "/parity_daemon.tingmx";
-  scenario::TestbedDaemonEnvironment env(faulted_daemon_world(/*shards=*/4));
+  scenario::DaemonWorldOptions wo = faulted_daemon_world(/*shards=*/4);
+  wo.churn.seed = 55;
+  scenario::TestbedDaemonEnvironment env(wo);
   DaemonOptions d;
-  d.epochs = 2;
+  d.epochs = 3;
   d.out = out;
   d.seed = 5;
   d.config_tag = "topology-parity";
@@ -140,9 +143,9 @@ TEST(TopologyParityTest, DaemonDeltaEpochMatchesLegacyClones) {
   struct GoldenEpoch {
     std::size_t pairs_total, measured, reseeds;
   };
-  const GoldenEpoch golden[] = {{45, 45, 85}, {0, 0, 0}};
-  ASSERT_EQ(report.epochs.size(), 2u);
-  for (std::size_t e = 0; e < 2; ++e) {
+  const GoldenEpoch golden[] = {{36, 36, 72}, {8, 8, 12}, {1, 1, 1}};
+  ASSERT_EQ(report.epochs.size(), 3u);
+  for (std::size_t e = 0; e < 3; ++e) {
     EXPECT_EQ(report.epochs[e].scan.pairs_total, golden[e].pairs_total)
         << "epoch " << e;
     EXPECT_EQ(report.epochs[e].scan.measured, golden[e].measured)
@@ -150,12 +153,16 @@ TEST(TopologyParityTest, DaemonDeltaEpochMatchesLegacyClones) {
     EXPECT_EQ(report.epochs[e].scan.reseeds, golden[e].reseeds)
         << "epoch " << e;
   }
-  // Epoch 1 really was a delta, not a rescan (this churn draw leaves no
-  // pair to plan).
-  EXPECT_LT(report.epochs[1].scan.pairs_total,
-            report.epochs[0].scan.pairs_total);
+  // The later epochs really were deltas: each measured something, and less
+  // than a rescan would.
+  for (std::size_t e = 1; e < 3; ++e) {
+    EXPECT_GT(report.epochs[e].scan.measured, 0u) << "epoch " << e;
+    EXPECT_LT(report.epochs[e].scan.pairs_total,
+              report.epochs[0].scan.pairs_total)
+        << "epoch " << e;
+  }
   // The artifact the run leaves on disk.
-  EXPECT_EQ(fnv1a64(read_file(out)), "a281423fd1e9447f");
+  EXPECT_EQ(fnv1a64(read_file(out)), "fa214d04bc38853a");
 }
 
 }  // namespace

@@ -42,9 +42,9 @@
 #include "ting/daemon.h"
 #include "ting/half_circuit_cache.h"
 #include "ting/measurer.h"
+#include "ting/rtt_matrix.h"
 #include "ting/scan_journal.h"
 #include "ting/scheduler.h"
-#include "ting/sparse_matrix.h"
 #include "util/stats.h"
 
 namespace {
@@ -656,18 +656,14 @@ int cmd_query(const Args& args) {
       static_cast<std::size_t>(args.num("candidates", 2000));
   so.max_length = static_cast<std::size_t>(args.num("max-length", 6));
   so.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  so.float32_snapshot = args.flag("float32", false);
   serve::PathServer server(so);
   server.publish(matrix);
   const auto st = server.state();
   const auto& nodes = st->snapshot.nodes();
-  std::printf("serving %zu relays, %zu pairs (%.1f%% coverage, %s image, "
-              "%.1f MB), %.0f%% of measured pairs have a TIV detour\n",
+  std::printf("serving %zu relays, %zu pairs (%.1f%% coverage, %.1f MB "
+              "image), %.0f%% of measured pairs have a TIV detour\n",
               st->snapshot.node_count(), st->snapshot.pair_count(),
               100 * st->snapshot.coverage(),
-              st->snapshot.storage() == serve::SnapshotStorage::kFloat32
-                  ? "float32"
-                  : "float64",
               static_cast<double>(st->snapshot.memory_bytes()) / 1e6,
               100 * st->detours.tiv_fraction());
 
@@ -826,10 +822,9 @@ int cmd_serve(const Args& args) {
   so.candidates_per_length =
       static_cast<std::size_t>(args.num("candidates", 500));
   so.seed = opt.seed;
-  so.float32_snapshot = args.flag("float32", false);
   serve::PathServer server(so);
   opt.on_checkpoint = [&server, &opt](
-                          const meas::SparseRttMatrix& m,
+                          const meas::RttMatrix& m,
                           const std::vector<dir::Fingerprint>&,
                           const std::vector<dir::Fingerprint>& changed,
                           const meas::EpochStats& s) {
@@ -838,13 +833,10 @@ int cmd_serve(const Args& args) {
                    changed);
     const auto st = server.state();
     std::printf("epoch %zu: published snapshot — %zu relays, %zu pairs "
-                "(%.1f%% coverage, %s, %.1f MB), %.0f%% TIV, %zu changed "
+                "(%.1f%% coverage, %.1f MB), %.0f%% TIV, %zu changed "
                 "relays\n",
                 s.epoch, st->snapshot.node_count(),
                 st->snapshot.pair_count(), 100 * st->snapshot.coverage(),
-                st->snapshot.storage() == serve::SnapshotStorage::kFloat32
-                    ? "float32"
-                    : "float64",
                 static_cast<double>(st->snapshot.memory_bytes()) / 1e6,
                 100 * st->detours.tiv_fraction(), changed.size());
     std::fflush(stdout);
@@ -886,26 +878,13 @@ int cmd_convert(const Args& args) {
   const std::string in = args.str("matrix", "matrix.csv");
   const std::string csv_out = args.str("csv", "");
   const std::string bin_out = args.str("bin", "");
-  std::ifstream f(in, std::ios::binary);
-  if (!f.good()) {
-    std::fprintf(stderr, "cannot open %s\n", in.c_str());
-    return 2;
-  }
-  std::string content((std::istreambuf_iterator<char>(f)),
-                      std::istreambuf_iterator<char>());
-  const bool is_bin =
-      content.size() >= 8 &&
-      std::memcmp(content.data(), meas::SparseRttMatrix::kBinMagic, 8) == 0;
-  const meas::SparseRttMatrix matrix =
-      is_bin ? meas::SparseRttMatrix::from_bin(content)
-             : meas::SparseRttMatrix::from_csv(content);
+  const meas::RttMatrix matrix = meas::load_matrix_any(in);
   if (!csv_out.empty()) matrix.save_csv(csv_out);
   if (!bin_out.empty()) matrix.save_bin(bin_out);
-  std::printf("%s: %s, %zu pairs over %zu relays%s%s%s%s\n", in.c_str(),
-              is_bin ? "sparse binary" : "csv", matrix.size(),
-              matrix.nodes().size(), csv_out.empty() ? "" : " -> ",
-              csv_out.c_str(), bin_out.empty() ? "" : " -> ",
-              bin_out.c_str());
+  std::printf("%s: %zu pairs over %zu relays%s%s%s%s\n", in.c_str(),
+              matrix.size(), matrix.nodes().size(),
+              csv_out.empty() ? "" : " -> ", csv_out.c_str(),
+              bin_out.empty() ? "" : " -> ", bin_out.c_str());
   return 0;
 }
 
@@ -1150,7 +1129,7 @@ void usage() {
       "  (scans the whole consensus in epochs: each epoch applies churn, plans\n"
       "   a delta worklist [new pairs first, then TTL-expired oldest-first, cut\n"
       "   to --budget pairs], measures it deterministically, and checkpoints the\n"
-      "   sparse binary matrix at <out>, state at <out>.state, journal at\n"
+      "   binary matrix at <out>, state at <out>.state, journal at\n"
       "   <out>.journal, half cache at <out>.halves. SIGTERM/kill at any point\n"
       "   resumes into the same epoch with --resume, byte-identically for\n"
       "   churn-only runs. exit: 0 converged to --coverage, 1 not converged,\n"
@@ -1166,12 +1145,12 @@ void usage() {
       "  serve     daemon + path-selection serving      (--relays --epochs --budget --churn\n"
       "                                                  --samples --shards --candidates\n"
       "                                                  --out --resume --synthetic [N]\n"
-      "                                                  --float32 --scenario name|file)\n"
+      "                                                  --scenario name|file)\n"
       "  (runs the continuous scan with the serving layer attached: each epoch\n"
       "   checkpoint publishes an immutable matrix snapshot + detour index via\n"
       "   one atomic pointer swap, so path queries never lock and never see a\n"
-      "   half-updated epoch; --float32 halves the dense snapshot image)\n"
-      "  query     path-selection queries off a matrix  (--matrix [--float32], then one of:\n"
+      "   half-updated epoch)\n"
+      "  query     path-selection queries off a matrix  (--matrix, then one of:\n"
       "                                                  --pair i,j | --through i --k n |\n"
       "                                                  --band lo:hi --length l --want n)\n"
       "  convert   matrix format conversion             (--matrix in [--csv out] [--bin out])\n"
@@ -1179,7 +1158,8 @@ void usage() {
       "  deanon    deanonymization strategy comparison  (--matrix --runs)\n"
       "  coords    Vivaldi-embedding comparison         (--matrix --percent --seed)\n"
       "  coverage  consensus timeline + host classes    (--days --relays)\n"
-      "  (tiv/deanon/coords accept scan CSVs and daemon sparse binaries alike)\n",
+      "  (convert/tiv/deanon/coords/query accept scan CSVs and daemon .tingmx\n"
+      "   binaries alike; both load into the same store)\n",
       stderr);
 }
 
