@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "../tests/reference_census.h"  // the brute-force census oracle
 #include "bench_common.h"
 #include "scenario/churn_feed.h"
 #include "scenario/daemon_world.h"
@@ -37,6 +38,41 @@ std::size_t scale_relays() {
   if (s != nullptr && std::atol(s) >= 2)
     return static_cast<std::size_t>(std::atol(s));
   return static_cast<std::size_t>(ting::bench::scaled(6000, 400));
+}
+
+/// plan_delta against the reference census on one state: both wall times
+/// and whether the plans (pairs and all four counters) are identical.
+struct HeadToHead {
+  double census_ms = 0;
+  double plan_ms = 0;
+  std::size_t pairs = 0;
+  bool identical = false;
+  double speedup() const { return plan_ms > 0 ? census_ms / plan_ms : 0; }
+};
+
+HeadToHead head_to_head(const ting::meas::RttMatrix& matrix,
+                        const std::vector<ting::dir::Fingerprint>& nodes,
+                        ting::TimePoint now,
+                        const ting::meas::DeltaPlanOptions& options) {
+  using clock = std::chrono::steady_clock;
+  HeadToHead h;
+  const auto t_census = clock::now();
+  const ting::meas::DeltaPlan want =
+      ting::meas::reference_census(matrix, nodes, now, options);
+  h.census_ms = std::chrono::duration<double, std::milli>(clock::now() -
+                                                          t_census)
+                    .count();
+  const auto t_plan = clock::now();
+  const ting::meas::DeltaPlan got =
+      ting::meas::plan_delta(matrix, nodes, now, options);
+  h.plan_ms =
+      std::chrono::duration<double, std::milli>(clock::now() - t_plan).count();
+  h.pairs = got.pairs.size();
+  h.identical = got.pairs == want.pairs && got.new_pairs == want.new_pairs &&
+                got.expired_pairs == want.expired_pairs &&
+                got.fresh_pairs == want.fresh_pairs &&
+                got.dropped_over_budget == want.dropped_over_budget;
+  return h;
 }
 
 }  // namespace
@@ -155,16 +191,15 @@ int main() {
   // ---- paper-scale leg -----------------------------------------------------
   // The full-consensus regime (§5.3: ~6,000 relays, ~18M pairs) against the
   // synthetic environment: (1) two budgeted daemon epochs end to end,
-  // (2) a full-mesh RttMatrix fill profiling memory_bytes at 18M
-  // entries, (3) plan_delta vs the primed incremental planner on identical
-  // state — the speedup and plan-equality numbers gate-scale enforces.
+  // (2) a full-mesh RttMatrix fill profiling memory_bytes at 18M entries,
+  // (3) plan_delta vs the brute-force census, on the budgeted daemon store
+  // (the daemon's regime, whose speedup gate-scale enforces) and on the
+  // full mesh after one churn epoch (reported). Both must plan identically.
   const std::size_t sr = scale_relays();
   const double rss_before_mb = peak_rss_mb();
   double scale_construct_ms = 0, scale_epoch_wall_s = 0, fill_wall_s = 0;
-  double plan_full_ms = 0, plan_incr_ms = 0;
   std::size_t scale_planned = 0, fill_pairs = 0, scale_matrix_bytes = 0;
-  std::size_t plan_pairs = 0;
-  bool planner_identical = false;
+  HeadToHead daemon_plan, mesh_plan;
   double daemon_rss_mb = 0;
   const std::size_t scale_budget = 200000;
   {
@@ -191,20 +226,35 @@ int main() {
     sd.half_cache = false;
     sd.journal = false;
     sd.coverage_target = 0;  // budgeted epochs can't converge; not the point
-    meas::ScanDaemon sdaemon(senv, sd);
-    const auto t_epochs = std::chrono::steady_clock::now();
-    const meas::DaemonReport sreport = sdaemon.run();
-    scale_epoch_wall_s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t_epochs)
-                             .count();
-    for (const auto& e : sreport.epochs) scale_planned += e.plan.pairs.size();
-    daemon_rss_mb = peak_rss_mb();
-    std::printf("# scale daemon: %zu epochs, %zu planned, %zu stored, "
-                "%.2f s, store %.1f MB, rss %.0f MB\n",
-                sreport.epochs_completed, scale_planned, sreport.matrix_pairs,
-                scale_epoch_wall_s,
-                static_cast<double>(sreport.matrix_bytes) / 1e6,
-                daemon_rss_mb);
+    {
+      meas::ScanDaemon sdaemon(senv, sd);
+      const auto t_epochs = std::chrono::steady_clock::now();
+      const meas::DaemonReport sreport = sdaemon.run();
+      scale_epoch_wall_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t_epochs)
+                               .count();
+      for (const auto& e : sreport.epochs) scale_planned += e.plan.pairs.size();
+      daemon_rss_mb = peak_rss_mb();
+      std::printf("# scale daemon: %zu epochs, %zu planned, %zu stored, "
+                  "%.2f s, store %.1f MB, rss %.0f MB\n",
+                  sreport.epochs_completed, scale_planned,
+                  sreport.matrix_pairs, scale_epoch_wall_s,
+                  static_cast<double>(sreport.matrix_bytes) / 1e6,
+                  daemon_rss_mb);
+
+      // (3a) The daemon's next epoch: its own budgeted store, the next
+      // consensus, the next epoch clock.
+      senv.advance_epoch(sd.epochs);
+      daemon_plan = head_to_head(
+          sdaemon.matrix(), senv.nodes(),
+          meas::ScanDaemon::epoch_clock(sd.epoch_interval, sd.epochs),
+          meas::DeltaPlanOptions{sd.ttl, sd.budget});
+      std::printf("# scale planner, daemon store: %zu pairs; census %.1f ms, "
+                  "plan_delta %.2f ms (x%.0f), plans %s\n",
+                  daemon_plan.pairs, daemon_plan.census_ms,
+                  daemon_plan.plan_ms, daemon_plan.speedup(),
+                  daemon_plan.identical ? "identical" : "DIVERGED");
+    }
 
     // (2) Full-mesh fill: the 18M-entry memory profile. One epoch stamp for
     // every entry, exactly like a converged daemon store.
@@ -231,47 +281,21 @@ int main() {
                 static_cast<double>(scale_matrix_bytes) /
                     static_cast<double>(fill_pairs));
 
-    // (3) Planner head-to-head on identical state: prime the incremental
-    // planner on the full mesh, advance one churn epoch, then time both
-    // planners over the same (matrix, nodes, clock) and require identical
-    // plans. TTL keeps the mesh fresh, so the census's only yield is the
-    // joined relays' new pairs — the planner's steady-state regime.
-    const meas::DeltaPlanOptions popt{Duration::seconds(3600), 0};
-    const TimePoint now = TimePoint::from_ns(t1.ns() + 1000);
-    meas::IncrementalDeltaPlanner planner;
-    planner.plan_delta_incremental(full, nodes0, {}, now, popt);  // primes
-    meas::ConsensusDeltaTracker tracker;
-    tracker.observe(nodes0);
+    // (3b) The full mesh after one churn epoch. TTL keeps the mesh fresh,
+    // so the only yield is the joined relays' new pairs; the cost is one
+    // pass over every stored entry against one probe per relay pair.
     feed.advance(1);
-    const std::vector<dir::Fingerprint> nodes1 = feed.members();
-    const auto delta = tracker.observe(nodes1);
-
-    const auto t_full = std::chrono::steady_clock::now();
-    const meas::DeltaPlan p_full = meas::plan_delta(full, nodes1, now, popt);
-    plan_full_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t_full)
-                       .count();
-    const auto t_incr = std::chrono::steady_clock::now();
-    const meas::DeltaPlan p_incr =
-        planner.plan_delta_incremental(full, nodes1, delta.joined, now, popt);
-    plan_incr_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t_incr)
-                       .count();
-    planner_identical =
-        p_full.pairs == p_incr.pairs && p_full.new_pairs == p_incr.new_pairs &&
-        p_full.expired_pairs == p_incr.expired_pairs &&
-        p_full.fresh_pairs == p_incr.fresh_pairs &&
-        p_full.dropped_over_budget == p_incr.dropped_over_budget;
-    plan_pairs = p_full.pairs.size();
-    std::printf("# scale planner: %zu joined -> %zu pairs; full %.1f ms, "
-                "incremental %.2f ms (x%.0f), plans %s\n",
-                delta.joined.size(), plan_pairs, plan_full_ms, plan_incr_ms,
-                plan_incr_ms > 0 ? plan_full_ms / plan_incr_ms : 0,
-                planner_identical ? "identical" : "DIVERGED");
+    mesh_plan = head_to_head(full, feed.members(),
+                             TimePoint::from_ns(t1.ns() + 1000),
+                             meas::DeltaPlanOptions{Duration::seconds(3600), 0});
+    std::printf("# scale planner, full mesh: %zu pairs; census %.1f ms, "
+                "plan_delta %.1f ms (x%.1f), plans %s\n",
+                mesh_plan.pairs, mesh_plan.census_ms, mesh_plan.plan_ms,
+                mesh_plan.speedup(),
+                mesh_plan.identical ? "identical" : "DIVERGED");
   }
   const double final_rss_mb = peak_rss_mb();
-  const double planner_speedup =
-      plan_incr_ms > 0 ? plan_full_ms / plan_incr_ms : 0;
+  const bool planner_identical = daemon_plan.identical && mesh_plan.identical;
   std::printf("# scale rss: before %.0f MB, after daemon %.0f MB, "
               "peak %.0f MB\n",
               rss_before_mb, daemon_rss_mb, final_rss_mb);
@@ -307,9 +331,13 @@ int main() {
                  "    \"matrix_memory_mb\": %.1f,\n"
                  "    \"matrix_bytes_per_pair\": %.1f,\n"
                  "    \"plan_pairs\": %zu,\n"
-                 "    \"plan_full_ms\": %.3f,\n"
-                 "    \"plan_incremental_ms\": %.3f,\n"
+                 "    \"census_ms\": %.3f,\n"
+                 "    \"plan_ms\": %.3f,\n"
                  "    \"planner_speedup\": %.1f,\n"
+                 "    \"full_mesh_plan_pairs\": %zu,\n"
+                 "    \"full_mesh_census_ms\": %.3f,\n"
+                 "    \"full_mesh_plan_ms\": %.3f,\n"
+                 "    \"full_mesh_speedup\": %.2f,\n"
                  "    \"planner_identical\": %s,\n"
                  "    \"peak_rss_mb\": %.1f\n"
                  "  }\n"
@@ -323,7 +351,9 @@ int main() {
                  fill_wall_s, static_cast<double>(scale_matrix_bytes) / 1e6,
                  static_cast<double>(scale_matrix_bytes) /
                      static_cast<double>(fill_pairs > 0 ? fill_pairs : 1),
-                 plan_pairs, plan_full_ms, plan_incr_ms, planner_speedup,
+                 daemon_plan.pairs, daemon_plan.census_ms, daemon_plan.plan_ms,
+                 daemon_plan.speedup(), mesh_plan.pairs, mesh_plan.census_ms,
+                 mesh_plan.plan_ms, mesh_plan.speedup(),
                  planner_identical ? "true" : "false", final_rss_mb);
     std::fclose(json);
     std::printf("# wrote BENCH_daemon.json\n");

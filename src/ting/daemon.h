@@ -5,10 +5,9 @@
 //
 //   1. advances the consensus (the environment applies whatever churn the
 //      epoch brings and reports the current relay set),
-//   2. plans a delta worklist with the IncrementalDeltaPlanner
-//      (delta_scan.h; plan_delta's full census is its test oracle):
-//      never-measured pairs first, then TTL-expired ones oldest-first, cut
-//      to the per-epoch budget,
+//   2. plans a delta worklist with plan_delta (delta_scan.h), one pass over
+//      the stored entries: never-measured pairs first, then TTL-expired
+//      ones oldest-first, cut to the per-epoch budget,
 //   3. runs the worklist through the environment's scan engine in
 //      deterministic mode with a per-epoch pair seed, journaling every
 //      result as it lands (scan_journal.h),
@@ -211,9 +210,6 @@ class ScanDaemon {
   DaemonOptions options_;
   RttMatrix matrix_;
   HalfCircuitCache half_cache_;
-  /// Carries the missing-pair backlog across epochs; unprimed at process
-  /// start, so the first epoch (fresh or resumed) runs one full census.
-  IncrementalDeltaPlanner planner_;
 };
 
 }  // namespace ting::meas

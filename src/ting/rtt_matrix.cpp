@@ -48,37 +48,10 @@ bool RttMatrix::fresher(const Entry& l, const Entry& r) {
   return l.samples > r.samples;
 }
 
-void RttMatrix::wheel_insert(const Key& k, TimePoint at) const {
-  wheel_[at.ns()].push_back(k);
-}
-
-void RttMatrix::wheel_rebuild() const {
-  wheel_.clear();
-  wheel_garbage_ = 0;
-  for (const auto& [k, v] : entries_) wheel_insert(k, v.measured_at);
-  wheel_built_ = true;
-}
-
-void RttMatrix::wheel_maybe_compact() const {
-  if (wheel_garbage_ > entries_.size() + 64) wheel_rebuild();
-}
-
-void RttMatrix::put(const Key& k, const Entry& e) {
-  auto [it, inserted] = entries_.try_emplace(k, e);
-  const bool restamped =
-      !inserted && it->second.measured_at != e.measured_at;
-  if (!inserted) it->second = e;
-  // Same stamp: the existing wheel record still points at the live bucket.
-  if (!wheel_built_ || !(inserted || restamped)) return;
-  if (restamped) ++wheel_garbage_;
-  wheel_insert(k, e.measured_at);
-  wheel_maybe_compact();
-}
-
 void RttMatrix::set(const dir::Fingerprint& a, const dir::Fingerprint& b,
                     double rtt_ms, TimePoint measured_at, int samples) {
   TING_CHECK_MSG(!(a == b), "RttMatrix: self-pairs are not meaningful");
-  put(key(a, b), Entry{rtt_ms, measured_at, samples});
+  entries_.insert_or_assign(key(a, b), Entry{rtt_ms, measured_at, samples});
 }
 
 const RttMatrix::Entry* RttMatrix::entry(const dir::Fingerprint& a,
@@ -110,24 +83,22 @@ void RttMatrix::merge(const RttMatrix& other) {
   reserve_pairs(entries_.size() + other.entries_.size());
   for (const auto& [k, v] : other.entries_) {
     const auto it = entries_.find(k);
-    if (it == entries_.end() || fresher(v, it->second)) put(k, v);
+    if (it == entries_.end())
+      entries_.emplace(k, v);
+    else if (fresher(v, it->second))
+      it->second = v;
   }
 }
 
 void RttMatrix::absorb(const RttMatrix& results, TimePoint stamp) {
   for (const auto& [k, v] : results.entries_)
-    put(k, Entry{v.rtt_ms, stamp, v.samples});
+    entries_.insert_or_assign(k, Entry{v.rtt_ms, stamp, v.samples});
 }
 
 std::size_t RttMatrix::erase_relay(const dir::Fingerprint& relay) {
-  const std::size_t dropped = std::erase_if(entries_, [&](const auto& kv) {
+  return std::erase_if(entries_, [&](const auto& kv) {
     return kv.first.a == relay || kv.first.b == relay;
   });
-  if (wheel_built_) {
-    wheel_garbage_ += dropped;  // the wheel records go stale, not away
-    wheel_maybe_compact();
-  }
-  return dropped;
 }
 
 void RttMatrix::reserve_pairs(std::size_t pairs) {
@@ -139,16 +110,9 @@ std::size_t RttMatrix::memory_bytes() const {
   // libstdc++ hash nodes carry a next pointer plus a cached hash alongside
   // the payload; the bucket array is one pointer per bucket.
   constexpr std::size_t kHashNodeOverhead = 2 * sizeof(void*);
-  std::size_t bytes =
-      entries_.size() * (sizeof(std::pair<const Key, Entry>) + kHashNodeOverhead) +
-      entries_.bucket_count() * sizeof(void*);
-  // Wheel: a red-black tree node per distinct stamp plus the key vectors.
-  constexpr std::size_t kTreeNodeOverhead = 4 * sizeof(void*);
-  for (const auto& [at, keys] : wheel_) {
-    bytes += kTreeNodeOverhead + sizeof(std::int64_t) + sizeof(keys) +
-             keys.capacity() * sizeof(Key);
-  }
-  return bytes;
+  return entries_.size() *
+             (sizeof(std::pair<const Key, Entry>) + kHashNodeOverhead) +
+         entries_.bucket_count() * sizeof(void*);
 }
 
 std::vector<std::pair<RttMatrix::Key, RttMatrix::Entry>>
@@ -183,37 +147,6 @@ double RttMatrix::mean_rtt() const {
   double total = 0;
   for (const auto& [k, v] : sorted_items()) total += v.rtt_ms;
   return total / static_cast<double>(entries_.size());
-}
-
-std::vector<RttMatrix::PairAge> RttMatrix::expired_pairs(
-    TimePoint now, Duration max_age) const {
-  if (!wheel_built_) wheel_rebuild();
-  // Walk wheel buckets oldest-first and stop at the TTL horizon; validate
-  // each record against the live entry (overwrites leave stale records
-  // behind). A pair re-stamped back to an earlier value can leave two valid
-  // records in one bucket, so dedupe after the sort.
-  std::vector<PairAge> out;
-  for (const auto& [at_ns, keys] : wheel_) {
-    if (now.ns() - at_ns <= max_age.ns()) break;
-    for (const Key& k : keys) {
-      auto it = entries_.find(k);
-      if (it == entries_.end() || it->second.measured_at.ns() != at_ns)
-        continue;
-      out.push_back(PairAge{k.a, k.b, it->second.measured_at});
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const PairAge& l, const PairAge& r) {
-    if (l.measured_at != r.measured_at) return l.measured_at < r.measured_at;
-    if (l.a != r.a) return l.a < r.a;
-    return l.b < r.b;
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const PairAge& l, const PairAge& r) {
-                          return l.a == r.a && l.b == r.b &&
-                                 l.measured_at == r.measured_at;
-                        }),
-            out.end());
-  return out;
 }
 
 RttMatrix::CoverageCount RttMatrix::coverage(

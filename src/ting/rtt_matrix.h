@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -96,20 +95,6 @@ class RttMatrix {
   /// summed in canonical order (deterministic).
   double mean_rtt() const;
 
-  /// One stored pair with its age — what the delta planner prioritizes.
-  struct PairAge {
-    dir::Fingerprint a, b;  ///< canonical order (a < b)
-    TimePoint measured_at;
-  };
-  /// Every stored pair whose entry is older than `max_age` at `now`,
-  /// oldest first (ties broken by pair, so the order is deterministic).
-  /// Served from the freshness wheel: O(expired + stale index records), not
-  /// O(size) — the incremental delta planner calls this every epoch. The
-  /// first call builds the wheel (O(size)); until then the store pays
-  /// nothing for it, so scan-side matrices that never ask stay lean. That
-  /// makes the first call a write: do not race it with other readers.
-  std::vector<PairAge> expired_pairs(TimePoint now, Duration max_age) const;
-
   /// Freshness census over the all-pairs set of `nodes`.
   struct CoverageCount {
     std::size_t total = 0;    ///< unordered pairs of `nodes`
@@ -125,11 +110,9 @@ class RttMatrix {
                          TimePoint now, Duration max_age) const;
 
   /// Estimated heap footprint in bytes: hash-node payload + chaining
-  /// overhead per entry, the bucket pointer array, and the freshness wheel
-  /// once built (one Key per live-or-stale index record plus a tree node
-  /// per distinct stamp). An estimate — allocator rounding is not modeled —
-  /// but it moves with the store, which is what the daemon status lines and
-  /// the 18M-entry bench profile need.
+  /// overhead per entry, and the bucket pointer array. An estimate —
+  /// allocator rounding is not modeled — but it moves with the store, which
+  /// is what the daemon status lines and the 18M-entry bench profile need.
   std::size_t memory_bytes() const;
 
   /// Bulk-load rehash policy: pin the load factor and size the bucket array
@@ -139,8 +122,7 @@ class RttMatrix {
   void reserve_pairs(std::size_t pairs);
 
   /// Target load factor for the entry table. Below libstdc++'s default 1.0
-  /// to keep lookup chains short for the planner's per-epoch probes, but
-  /// high enough that the bucket array stays a minor term next to the
+  /// to keep lookup chains short, but high enough that the bucket array stays a minor term next to the
   /// 18M-entry node storage.
   static constexpr float kMaxLoadFactor = 0.9f;
 
@@ -181,33 +163,11 @@ class RttMatrix {
   static Key key(const dir::Fingerprint& a, const dir::Fingerprint& b);
   /// True when `l` beats `r` under the merge total order.
   static bool fresher(const Entry& l, const Entry& r);
-  /// Store `e` under `k` (overwriting) and keep a built wheel in step.
-  void put(const Key& k, const Entry& e);
   /// Entries in canonical pair order — the deterministic iteration that
   /// every serialization and aggregate goes through.
   std::vector<std::pair<Key, Entry>> sorted_items() const;
 
-  /// Append an index record for `k` at stamp `at` to the freshness wheel.
-  void wheel_insert(const Key& k, TimePoint at) const;
-  /// Rebuild the wheel from entries_ once stale records outnumber live ones.
-  void wheel_maybe_compact() const;
-  void wheel_rebuild() const;
-
   std::unordered_map<Key, Entry, KeyHash> entries_;
-
-  // Freshness wheel: measured_at (ns) -> pair keys recorded at that stamp,
-  // bucket order ascending so expired_pairs() walks oldest-first and stops
-  // at the TTL horizon. Built by the first expired_pairs() call and kept in
-  // step from then on. Maintained lazily: overwrites and erasures leave the
-  // old record in place (counted in wheel_garbage_) and enumeration skips
-  // records whose stamp no longer matches the live entry; a full rebuild
-  // triggers when garbage outgrows the live set, so amortized maintenance is
-  // O(1) per mutation and enumeration is O(expired + garbage), never
-  // O(size). The daemon stamps whole epochs with one clock value, so bucket
-  // counts stay tiny in practice.
-  mutable bool wheel_built_ = false;
-  mutable std::map<std::int64_t, std::vector<Key>> wheel_;
-  mutable std::size_t wheel_garbage_ = 0;
 };
 
 /// The daemon store's former name; one class holds every RTT dataset now.

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "reference_census.h"
 #include "scenario/daemon_world.h"
 #include "scenario/synthetic_env.h"
 #include "ting/daemon.h"
@@ -200,10 +201,10 @@ TEST(ScanDaemonTest, ShardCountDoesNotChangeTheMatrix) {
   EXPECT_EQ(read_file(out1), read_file(out2));
 }
 
-/// The planner oracle: the daemon always plans with the
-/// IncrementalDeltaPlanner, so every completed epoch's plan is checked
-/// against plan_delta's full census over a copy of the previous epoch's
-/// store — the same worklist, in the same order, with the same counters.
+/// The planner oracle: every completed epoch's plan is checked against the
+/// brute-force census (reference_census.h) over a copy of the previous
+/// epoch's store — the same worklist, in the same order, with the same
+/// counters.
 class PlannerOracle {
  public:
   /// `store` is what the daemon starts from: empty for a fresh run, the
@@ -219,9 +220,9 @@ class PlannerOracle {
                           const std::vector<dir::Fingerprint>& nodes,
                           const std::vector<dir::Fingerprint>&,
                           const EpochStats& stats) {
-      const DeltaPlan want =
-          plan_delta(prev_, nodes, ScanDaemon::epoch_clock(interval, stats.epoch),
-                     plan_opts);
+      const DeltaPlan want = reference_census(
+          prev_, nodes, ScanDaemon::epoch_clock(interval, stats.epoch),
+          plan_opts);
       EXPECT_EQ(stats.plan.pairs, want.pairs) << "epoch " << stats.epoch;
       EXPECT_EQ(stats.plan.new_pairs, want.new_pairs) << "epoch " << stats.epoch;
       EXPECT_EQ(stats.plan.expired_pairs, want.expired_pairs)
@@ -244,7 +245,7 @@ class PlannerOracle {
 
 TEST(ScanDaemonTest, PlannerMatchesFullCensusEpochByEpoch) {
   // Epoch by epoch, including across a crash/resume, where a fresh process
-  // starts with an unprimed planner mid-sequence.
+  // plans mid-sequence from the persisted store alone.
   const double churn = 0.1;
   const std::string ref_out = ::testing::TempDir() + "/daemon_oracle.tingmx";
   {
@@ -257,8 +258,8 @@ TEST(ScanDaemonTest, PlannerMatchesFullCensusEpochByEpoch) {
     EXPECT_EQ(oracle.epochs_checked(), 3u);
   }
 
-  // Interrupt a run mid-epoch, resume it (unprimed planner against the
-  // persisted matrix), and compare the plans and the final store again.
+  // Interrupt a run mid-epoch, resume it (a new process planning against
+  // the persisted matrix), and compare the plans and the final store again.
   const std::string cut_out =
       ::testing::TempDir() + "/daemon_oracle_cut.tingmx";
   std::size_t cut_completed = 0;
@@ -293,8 +294,8 @@ TEST(ScanDaemonTest, PlannerMatchesFullCensusEpochByEpoch) {
 
 TEST(ScanDaemonTest, SyntheticPlannerMatchesFullCensusEpochByEpoch) {
   // `ting daemon --synthetic 300 --epochs 3 --budget 20000 --churn 0.02
-  // --seed 5`: the budget cuts the first epochs, so the over-budget
-  // backlog carries across epochs.
+  // --seed 5`: the budget cuts the first epochs, so pairs cut by the
+  // budget stay missing and re-plan in later epochs.
   scenario::SyntheticEnvOptions seo;
   seo.relays = 300;
   seo.testbed.seed = 5;

@@ -1,15 +1,19 @@
 // Property tests for the consensus-delta planner: churn produces exactly
 // the new/expired pairs with no duplicates, priority order holds (new pairs
-// first, expired oldest-first), budgets cut from the back, and the
-// ConsensusDeltaTracker reports joins/leaves correctly.
+// first, expired oldest-first), budgets cut from the back, the one-pass
+// planner equals the brute-force census (reference_census.h) on random
+// stores, and the ConsensusDeltaTracker reports joins/leaves correctly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "reference_census.h"
 #include "ting/delta_scan.h"
 #include "ting/rtt_matrix.h"
 #include "util/rng.h"
@@ -175,84 +179,102 @@ TEST(DeltaScanTest, PlanIsPureFunctionOfInputs) {
   EXPECT_EQ(p1.pairs, p2.pairs);
 }
 
-/// The incremental planner's equivalence contract: identical pairs and
-/// identical census counters versus plan_delta over the same inputs.
-void expect_same_plan(const DeltaPlan& inc, const DeltaPlan& full,
-                      const char* label) {
-  EXPECT_EQ(inc.pairs, full.pairs) << label;
-  EXPECT_EQ(inc.new_pairs, full.new_pairs) << label;
-  EXPECT_EQ(inc.expired_pairs, full.expired_pairs) << label;
-  EXPECT_EQ(inc.fresh_pairs, full.fresh_pairs) << label;
-  EXPECT_EQ(inc.dropped_over_budget, full.dropped_over_budget) << label;
+/// Identical pairs and identical census counters.
+void expect_same_plan(const DeltaPlan& got, const DeltaPlan& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.pairs, want.pairs) << label;
+  EXPECT_EQ(got.new_pairs, want.new_pairs) << label;
+  EXPECT_EQ(got.expired_pairs, want.expired_pairs) << label;
+  EXPECT_EQ(got.fresh_pairs, want.fresh_pairs) << label;
+  EXPECT_EQ(got.dropped_over_budget, want.dropped_over_budget) << label;
 }
 
-TEST(DeltaScanTest, IncrementalUnprimedMatchesFullCensus) {
-  const auto nodes = node_set(8);
-  RttMatrix m;
-  m.set(nodes[1], nodes[4], 1.0, at(5), 1);   // expired
-  m.set(nodes[2], nodes[6], 1.0, at(95), 1);  // fresh
-  DeltaPlanOptions opt;
-  opt.ttl = Duration::seconds(10);
-  IncrementalDeltaPlanner planner;
-  EXPECT_FALSE(planner.primed());
-  const DeltaPlan full = plan_delta(m, nodes, at(100), opt);
-  const DeltaPlan inc =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(inc, full, "bootstrap census");
-  EXPECT_TRUE(planner.primed());
-  EXPECT_EQ(planner.backlog_pairs(), full.new_pairs);
-  // reset() forgets the backlog; the next call is a full census again.
-  planner.reset();
-  EXPECT_FALSE(planner.primed());
-  const DeltaPlan again =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(again, full, "post-reset census");
+TEST(DeltaScanTest, MatchesReferenceCensusOnRandomStores) {
+  // The one-pass planner against the brute-force census, across bitmap
+  // word boundaries (63/64/65/129 relays) and the degenerate sizes. Member
+  // order is shuffled, the store also holds pairs touching non-members,
+  // stamps come from a handful of values so expired candidates tie, and
+  // the budgets hit 0 (unlimited), 1, exactly the missing count (no room
+  // left for expired pairs) and points inside the expired list.
+  Rng rng(4242);
+  for (const std::size_t n : std::initializer_list<std::size_t>{
+           0, 1, 2, 63, 64, 65, 129}) {
+    for (const double fill : {0.0, 0.3, 0.9, 1.0}) {
+      // Members are fp(0..n-1); fp(n..n+4) are relays that left.
+      const std::size_t universe = n + 5;
+      std::vector<dir::Fingerprint> nodes = node_set(n);
+      for (std::size_t k = nodes.size(); k > 1; --k)
+        std::swap(nodes[k - 1], nodes[rng.next_below(k)]);
+      RttMatrix m;
+      for (std::size_t a = 0; a < universe; ++a)
+        for (std::size_t b = a + 1; b < universe; ++b)
+          if (rng.uniform() < fill)
+            m.set(fp(a), fp(b), 1.0, at(10 * rng.uniform_int(1, 6)), 1);
+      DeltaPlanOptions opt;
+      opt.ttl = Duration::seconds(25);
+      const TimePoint now = at(70);
+      const std::size_t missing = reference_census(m, nodes, now, opt).new_pairs;
+      for (const std::size_t budget :
+           {std::size_t{0}, std::size_t{1}, missing, missing + 1, missing + 7,
+            missing + all_pairs(n) / 3}) {
+        opt.budget = budget;
+        const std::string label = "n=" + std::to_string(n) +
+                                  " fill=" + std::to_string(fill) +
+                                  " budget=" + std::to_string(budget);
+        const DeltaPlan got = plan_delta(m, nodes, now, opt);
+        expect_same_plan(got, reference_census(m, nodes, now, opt), label);
+        expect_no_duplicates(got);
+      }
+    }
+  }
 }
 
 TEST(DeltaScanTest, IncrementalMatchesFullAcrossChurnEpochs) {
   // A 12-epoch randomized daemon life: membership churns (joins, leaves,
-  // rejoins), each epoch absorbs only a prefix of its plan (failures and
-  // budget cuts leave pairs missing), stamps age past the TTL, and budgets
-  // alternate between unlimited and tight. At every epoch the incremental
-  // plan must be identical to the from-scratch census.
+  // rejoins) and is enumerated in a fresh random order every epoch, each
+  // epoch absorbs only a prefix of its plan (failures and budget cuts leave
+  // pairs missing), stamps age past the TTL, a relay is sometimes erased
+  // from the store, and budgets alternate between unlimited and tight. At
+  // every epoch plan_delta and the IncrementalDeltaPlanner name must both
+  // equal the brute-force census.
   Rng rng(1234);
   const std::size_t universe = 16;
   std::vector<bool> member(universe, false);
   for (std::size_t i = 0; i < 10; ++i) member[i] = true;
   RttMatrix m;
-  IncrementalDeltaPlanner planner;
+  const IncrementalDeltaPlanner planner;
   ConsensusDeltaTracker tracker;
   DeltaPlanOptions opt;
   opt.ttl = Duration::seconds(30);
   for (int epoch = 0; epoch < 12; ++epoch) {
-    // Contract (a): survivors keep construction-order enumeration.
     std::vector<dir::Fingerprint> nodes;
     for (std::size_t i = 0; i < universe; ++i)
       if (member[i]) nodes.push_back(fp(i));
+    for (std::size_t k = nodes.size(); k > 1; --k)
+      std::swap(nodes[k - 1], nodes[rng.next_below(k)]);
     const auto delta = tracker.observe(nodes);
     opt.budget = (epoch % 3 == 0)
                      ? 0
                      : static_cast<std::size_t>(rng.uniform_int(1, 25));
     const TimePoint now = at(100 + epoch * 10);
-    const DeltaPlan full = plan_delta(m, nodes, now, opt);
-    const DeltaPlan inc =
-        planner.plan_delta_incremental(m, nodes, delta.joined, now, opt);
-    char label[32];
-    std::snprintf(label, sizeof(label), "epoch %d", epoch);
-    expect_same_plan(inc, full, label);
-    expect_no_duplicates(inc);
+    const DeltaPlan want = reference_census(m, nodes, now, opt);
+    const std::string label = "epoch " + std::to_string(epoch);
+    expect_same_plan(plan_delta(m, nodes, now, opt), want, label);
+    expect_same_plan(
+        planner.plan_delta_incremental(m, nodes, delta.joined, now, opt), want,
+        label + " (forwarder)");
     // Absorb a random prefix of the plan — the daemon stamps at the epoch
     // clock, and an interrupted epoch leaves the tail unmeasured.
     const std::size_t done =
-        full.pairs.empty()
+        want.pairs.empty()
             ? 0
             : static_cast<std::size_t>(rng.uniform_int(
-                  0, static_cast<std::int64_t>(full.pairs.size())));
+                  0, static_cast<std::int64_t>(want.pairs.size())));
     for (std::size_t k = 0; k < done; ++k)
-      m.set(nodes[full.pairs[k].first], nodes[full.pairs[k].second], 5.0, now,
+      m.set(nodes[want.pairs[k].first], nodes[want.pairs[k].second], 5.0, now,
             1);
-    // Flip a couple of memberships (leaves keep their matrix entries, per
-    // contract (c); rejoins arrive through the tracker's joined set).
+    if (epoch % 5 == 4) m.erase_relay(fp(rng.next_below(universe)));
+    // Flip a couple of memberships (leavers keep their matrix entries).
     for (int c = 0; c < 2; ++c) {
       const auto v =
           static_cast<std::size_t>(rng.uniform_int(0, universe - 1));
@@ -267,8 +289,7 @@ TEST(DeltaScanTest, EqualStampBudgetCutIsDeterministicPrefix) {
   // The daemon restamps a whole epoch with one clock value, so most expired
   // candidates tie on measured_at. The tie must break on the pair index:
   // the budgeted plan is exactly the unbudgeted plan's prefix, on both the
-  // full-sort path and the bounded-heap path, and the incremental planner
-  // agrees.
+  // full-sort path and the bounded-heap path, and the census agrees.
   const auto nodes = node_set(9);
   RttMatrix m;
   for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -283,10 +304,8 @@ TEST(DeltaScanTest, EqualStampBudgetCutIsDeterministicPrefix) {
   ASSERT_EQ(full.pairs.size(), all_pairs(9));
   ASSERT_EQ(cut.pairs.size(), 7u);
   for (std::size_t k = 0; k < 7; ++k) EXPECT_EQ(cut.pairs[k], full.pairs[k]);
-  IncrementalDeltaPlanner planner;
-  const DeltaPlan inc =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), bounded);
-  expect_same_plan(inc, cut, "equal-stamp budgeted");
+  expect_same_plan(cut, reference_census(m, nodes, at(100), bounded),
+                   "equal-stamp budgeted");
 }
 
 TEST(DeltaScanTest, ExpiredBeforeIsStrictTotalOrder) {
@@ -302,10 +321,11 @@ TEST(DeltaScanTest, ExpiredBeforeIsStrictTotalOrder) {
 }
 
 TEST(DeltaScanTest, IncrementalFreshPlannerRederivesCrashedEpoch) {
-  // A crash-resumed daemon process constructs a brand-new planner against
-  // the persisted matrix. Its first (unprimed) call must re-derive exactly
-  // the worklist the crashed process was running — and re-planning the same
-  // epoch twice (a stale journal replay) is idempotent.
+  // A crash-resumed daemon process plans against the persisted matrix
+  // alone. The plan holds no state across calls, so a planner that ran
+  // earlier epochs, a brand-new one and a stale-journal replay of the same
+  // epoch all re-derive exactly the worklist the crashed process was
+  // running.
   const auto nodes = node_set(10);
   RttMatrix m;
   std::int64_t t = 0;
@@ -318,41 +338,23 @@ TEST(DeltaScanTest, IncrementalFreshPlannerRederivesCrashedEpoch) {
   DeltaPlanOptions opt;
   opt.ttl = Duration::seconds(25);
   opt.budget = 13;
-  IncrementalDeltaPlanner survivor;
+  const IncrementalDeltaPlanner survivor;
   (void)survivor.plan_delta_incremental(m, nodes, {}, at(60), opt);
-  const DeltaPlan primed =
+  const DeltaPlan replanned =
       survivor.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  IncrementalDeltaPlanner restarted;
+  const IncrementalDeltaPlanner restarted;
   const DeltaPlan resumed =
       restarted.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  const DeltaPlan full = plan_delta(m, nodes, at(100), opt);
-  expect_same_plan(primed, full, "primed replan");
-  expect_same_plan(resumed, full, "fresh-planner resume");
-  // Stale-journal replay: same inputs again, same plan again.
-  const DeltaPlan replay =
-      restarted.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(replay, full, "journal replay");
+  const DeltaPlan want = reference_census(m, nodes, at(100), opt);
+  expect_same_plan(replanned, want, "replan");
+  expect_same_plan(resumed, want, "fresh-planner resume");
+  expect_same_plan(plan_delta(m, nodes, at(100), opt), want, "journal replay");
 }
 
-TEST(DeltaScanTest, IncrementalResetRequiredAfterEraseRelay) {
-  const auto nodes = node_set(6);
-  RttMatrix m;
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < nodes.size(); ++j)
-      m.set(nodes[i], nodes[j], 1.0, at(95), 1);
-  DeltaPlanOptions opt;
-  opt.ttl = Duration::seconds(10);
-  IncrementalDeltaPlanner planner;
-  (void)planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  // erase_relay() removes entries, which the backlog cannot observe —
-  // contract (c) says reset. After reset the census sees the new holes.
-  m.erase_relay(nodes[2]);
-  planner.reset();
-  const DeltaPlan full = plan_delta(m, nodes, at(100), opt);
-  const DeltaPlan inc =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(inc, full, "post-erase census");
-  EXPECT_EQ(full.new_pairs, 5u);  // every pair touching the erased relay
+TEST(DeltaScanTest, DuplicateRelayIsRejected) {
+  // A relay listed twice would make its self-pair a "missing" candidate.
+  EXPECT_THROW((void)plan_delta(RttMatrix{}, {fp(1), fp(2), fp(1)}, at(1)),
+               CheckError);
 }
 
 TEST(DeltaScanTest, TrackerReportsJoinsAndLeaves) {

@@ -1,7 +1,8 @@
 // Property tests for RttMatrix: exact binary round-trips (including
 // adversarial double bit patterns), byte-determinism of serialization,
-// commutative/associative merge, TTL-expiry enumeration, CSV interop with
-// the dense RttMatrix, and the load_matrix_any() format sniffer.
+// commutative/associative merge, TTL expiry as the delta planner reads it,
+// CSV interop with the dense RttMatrix, and the load_matrix_any() format
+// sniffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "ting/delta_scan.h"
 #include "ting/rtt_matrix.h"
 #include "util/assert.h"
 #include "util/rng.h"
@@ -256,19 +258,26 @@ TEST(SparseRttMatrixTest, AbsorbRestampsDenseResults) {
   EXPECT_EQ(m.entry(fp(0), fp(1))->measured_at, at(1));  // untouched
 }
 
+/// The store's expired pairs as the delta planner lists them: the tail of
+/// an unbudgeted plan over every relay fp(0..n-1).
+std::vector<std::pair<std::size_t, std::size_t>> expired_in_plan(
+    const RttMatrix& m, std::size_t n, TimePoint now, Duration ttl) {
+  std::vector<dir::Fingerprint> nodes;
+  for (std::size_t i = 0; i < n; ++i) nodes.push_back(fp(i));
+  const DeltaPlan plan = plan_delta(m, nodes, now, DeltaPlanOptions{ttl, 0});
+  return {plan.pairs.end() - static_cast<std::ptrdiff_t>(plan.expired_pairs),
+          plan.pairs.end()};
+}
+
 TEST(SparseRttMatrixTest, ExpiredPairsOldestFirst) {
   RttMatrix m;
   m.set(fp(1), fp(2), 1.0, at(10), 1);
   m.set(fp(3), fp(4), 2.0, at(30), 1);
   m.set(fp(5), fp(6), 3.0, at(20), 1);
   m.set(fp(7), fp(8), 4.0, at(95), 1);  // fresh at now=100, ttl=10
-  const auto expired = m.expired_pairs(at(100), Duration::seconds(10));
-  ASSERT_EQ(expired.size(), 3u);
-  EXPECT_EQ(expired[0].measured_at, at(10));
-  EXPECT_EQ(expired[1].measured_at, at(20));
-  EXPECT_EQ(expired[2].measured_at, at(30));
-  EXPECT_EQ(expired[0].a, fp(1));
-  EXPECT_EQ(expired[0].b, fp(2));
+  const auto expired = expired_in_plan(m, 9, at(100), Duration::seconds(10));
+  using P = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(expired, (std::vector<P>{{1, 2}, {5, 6}, {3, 4}}));
 }
 
 TEST(SparseRttMatrixTest, CoverageCensus) {
@@ -353,31 +362,10 @@ TEST(SparseRttMatrixTest, AggregatesMatchDense) {
   }
 }
 
-TEST(RttMatrixTest, FreshnessWheelIsBuiltOnFirstExpiryQuery) {
-  // Scan-side matrices never ask for expired pairs and must not pay for
-  // the wheel; the first expired_pairs() call builds it from the entries
-  // and later writes keep it in step.
-  RttMatrix m;
-  for (std::size_t i = 1; i < 40; ++i) m.set(fp(0), fp(i), 1.0, at(10), 1);
-  const std::size_t lean = m.memory_bytes();
-  RttMatrix copy = m;
-  EXPECT_EQ(m.expired_pairs(at(100), Duration::seconds(5)).size(), 39u);
-  EXPECT_GT(m.memory_bytes(), lean);
-  EXPECT_EQ(copy.memory_bytes(), lean);
-  m.set(fp(0), fp(1), 2.0, at(99), 1);  // refreshed: no longer expired
-  m.set(fp(1), fp(2), 3.0, at(20), 1);  // new and already expired
-  m.erase_relay(fp(3));
-  const auto expired = m.expired_pairs(at(100), Duration::seconds(5));
-  ASSERT_EQ(expired.size(), 38u);
-  EXPECT_EQ(expired.back().a, fp(1));
-  EXPECT_EQ(expired.back().b, fp(2));
-  for (const auto& pa : expired) EXPECT_FALSE(pa.b == fp(3));
-}
-
 TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
-  // The freshness wheel (lazy invalidation + periodic compaction) must stay
-  // equivalent to re-scanning every entry, through any interleaving of
-  // inserts, overwrites, restamps, merges, and relay erasure.
+  // The expired pairs the planner reads off the store must stay equivalent
+  // to a reference map of stamps, through any interleaving of inserts,
+  // overwrites, restamps, merges, and relay erasure.
   Rng rng(911);
   const std::size_t n = 14;
   RttMatrix m;
@@ -387,12 +375,14 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
     for (const auto& [k, t] : reference)
       if (now_s - t > ttl_s) want.emplace_back(t, k.first, k.second);
     std::sort(want.begin(), want.end());
-    const auto got = m.expired_pairs(at(now_s), Duration::seconds(ttl_s));
+    const auto got =
+        expired_in_plan(m, n, at(now_s), Duration::seconds(ttl_s));
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k].measured_at, at(std::get<0>(want[k])));
-      EXPECT_EQ(got[k].a, fp(std::get<1>(want[k])));
-      EXPECT_EQ(got[k].b, fp(std::get<2>(want[k])));
+      EXPECT_EQ(got[k].first, std::get<1>(want[k]));
+      EXPECT_EQ(got[k].second, std::get<2>(want[k]));
+      EXPECT_EQ(m.entry(fp(got[k].first), fp(got[k].second))->measured_at,
+                at(std::get<0>(want[k])));
     }
   };
   for (int round = 0; round < 40; ++round) {
@@ -431,21 +421,6 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
     }
     check(210, static_cast<std::int64_t>(rng.uniform_int(1, 220)));
   }
-}
-
-TEST(SparseRttMatrixTest, RestampBackToOldValueNotDuplicated) {
-  // Re-stamping a pair to a value it held before can leave two live-looking
-  // records in the same wheel bucket; enumeration must dedupe.
-  RttMatrix m;
-  m.set(fp(1), fp(2), 1.0, at(10), 1);
-  m.set(fp(1), fp(2), 2.0, at(50), 1);
-  m.set(fp(1), fp(2), 3.0, at(10), 1);  // back to the original stamp
-  const auto expired = m.expired_pairs(at(100), Duration::seconds(5));
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0].measured_at, at(10));
-  // Same-stamp overwrite is also not a new wheel record.
-  m.set(fp(1), fp(2), 4.0, at(10), 1);
-  EXPECT_EQ(m.expired_pairs(at(100), Duration::seconds(5)).size(), 1u);
 }
 
 TEST(SparseRttMatrixTest, MemoryBytesAndReservePolicy) {
